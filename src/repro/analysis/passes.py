@@ -36,8 +36,6 @@ __all__ = [
     "plan_pass",
     "partition_unsafe_noks",
     "snapshot_pass",
-    "tree_quick_clean",
-    "artifacts_quick_clean",
 ]
 
 #: Axes the pattern matcher models at all.
@@ -50,8 +48,6 @@ _LEGAL_RELATIONS = ("<<", ">>", "is", "isnot", "=", "!=", "<", "<=", ">",
 #: Strategies the engine can execute.
 _KNOWN_STRATEGIES = ("pipelined", "caching", "stack", "bnlj", "nl",
                      "twigstack", "naive", "xhive", "parallel")
-_PATTERN_STRATEGIES = ("pipelined", "caching", "stack", "bnlj", "nl",
-                       "twigstack", "parallel")
 
 
 # ----------------------------------------------------------------------
@@ -596,326 +592,3 @@ def snapshot_pass(plan: CachedPlan, live_snapshots: Collection[int],
         report.add("SV001", "serve",
                    f"plan was compiled against snapshot {snapshot_id}, "
                    f"which has been dropped (live snapshots: {live})")
-
-
-# ----------------------------------------------------------------------
-# Fused fast-path predicates (the verify gates' hot path).
-# ----------------------------------------------------------------------
-#
-# The reporting passes above favour precise findings over speed: they
-# build location strings eagerly and re-derive index sets per check.
-# The engine verifies every plan it compiles, so the *clean* case must
-# cost microseconds.  These predicates fuse the same invariants into
-# single traversals and answer only clean/dirty; the verify gates run
-# the full passes exactly when a predicate says dirty (or a warning
-# rule could fire), so findings and rule IDs never change.
-#
-# Keep them in lockstep with the passes: every check added to a pass
-# needs its twin here, and a corruption fixture in
-# tests/test_analysis_rules.py driving the verify gate (which exercises
-# this fast path).  tests/conftest.py cross-checks predicate-vs-pass
-# agreement on every plan the suite compiles.
-
-def tree_quick_clean(tree: BlossomTree) -> bool:
-    """True iff :func:`blossom_pass` would report nothing (BT001-BT006).
-
-    The predicate is vid-centric: after the dense-vid check up front,
-    "vertex belongs to this tree" is ``vertices[v.vid] is v`` (one list
-    index + identity test) instead of an id()-set membership, and the
-    reachability marks live in a bytearray indexed by vid.  Two checks
-    have no explicit twin because cheaper ones subsume them:
-
-    * "edge listed by its parent" — an unlisted edge leaves its child
-      unreachable, so the reachability count at the bottom goes dirty;
-    * "vertex.parent_edge is a known edge" — every tree edge's child
-      points back at it, so tree_edges maps injectively into the
-      parented vertices, and ``n_parented == len(tree_edges)`` forces
-      the two sets to coincide.
-    """
-    vertices = tree.vertices
-    n = len(vertices)
-    for index, vertex in enumerate(vertices):
-        if vertex.vid != index:
-            return False
-    for root in tree.roots:
-        vid = root.vid
-        if not 0 <= vid < n or vertices[vid] is not root \
-                or root.parent_edge is not None:
-            return False
-    for edge in tree.tree_edges:
-        parent = edge.parent
-        child = edge.child
-        pvid = parent.vid
-        cvid = child.vid
-        if not 0 <= pvid < n or vertices[pvid] is not parent:
-            return False
-        if not 0 <= cvid < n or vertices[cvid] is not child:
-            return False
-        if child.parent_edge is not edge:
-            return False
-        mode = edge.mode
-        if mode != MODE_MANDATORY and mode != MODE_OPTIONAL:
-            return False
-        if edge.axis not in _LEGAL_AXES:
-            return False
-        if child.returning and not parent.returning:
-            return False
-    n_parented = 0
-    var_vertex_get = tree.var_vertex.get
-    for vertex in vertices:
-        for edge in vertex.child_edges:
-            if edge.parent is not vertex or edge.child.parent_edge is not edge:
-                return False
-        parent_edge = vertex.parent_edge
-        if parent_edge is not None:
-            n_parented += 1
-        after = getattr(vertex, "after_vid", None)
-        if after is not None:
-            if not 0 <= after < n:
-                return False
-            sibling = vertices[after]
-            if sibling.parent_edge is None or parent_edge is None \
-                    or sibling.parent_edge.parent is not parent_edge.parent:
-                return False
-        if vertex.variables:
-            if not vertex.returning:
-                return False
-            for name in vertex.variables:
-                if var_vertex_get(name) is not vertex:
-                    return False
-        elif parent_edge is not None \
-                and parent_edge.mode == MODE_OPTIONAL \
-                and not vertex.child_edges and not vertex.returning \
-                and not vertex.value_predicates:
-            return False
-    if n_parented != len(tree.tree_edges):
-        return False
-    for name, vertex in tree.var_vertex.items():
-        vid = vertex.vid
-        if not 0 <= vid < n or vertices[vid] is not vertex \
-                or name not in vertex.variables:
-            return False
-        kind = vertex.var_kinds.get(name)
-        if kind != "for" and kind != "let":
-            return False
-    for crossing in tree.crossing_edges:
-        if crossing.relation not in _LEGAL_RELATIONS:
-            return False
-        u = crossing.u
-        v = crossing.v
-        if not 0 <= u.vid < n or vertices[u.vid] is not u:
-            return False
-        if not 0 <= v.vid < n or vertices[v.vid] is not v:
-            return False
-        if not u.returning or not v.returning:
-            return False
-    # Reachability: every vertex exactly once across all roots (covers
-    # cycles, shared subtrees, duplicate roots and orphans at once).
-    # The identity test inside the loop keeps alien child vertices from
-    # aliasing a real vid.
-    visited = bytearray(n)
-    reached = 0
-    for root in tree.roots:
-        stack = [root]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            vertex = pop()
-            vid = vertex.vid
-            if not 0 <= vid < n or vertices[vid] is not vertex \
-                    or visited[vid]:
-                return False
-            visited[vid] = 1
-            reached += 1
-            for edge in vertex.child_edges:
-                push(edge.child)
-    return reached == n
-
-
-def artifacts_quick_clean(artifacts: object, strategy: str | None = None,
-                          recursive_document: bool | None = None) -> bool:
-    """True iff the decomposition, Dewey and plan passes would all
-    report nothing (NK001-NK003, DW001-DW002, PL001/PL002/PL004) *and*
-    no warning rule (PL003) could fire."""
-    tree = artifacts.tree          # type: ignore[attr-defined]
-    dec = artifacts.decomposition  # type: ignore[attr-defined]
-    dewey = artifacts.dewey        # type: ignore[attr-defined]
-    vertices = tree.vertices
-    n = len(vertices)
-    nok_of_vertex = dec.nok_of_vertex
-    nok_of_vertex_get = nok_of_vertex.get
-    # NK001 + the NK002 *parent rule*, fused over one edge sweep:
-    # exactly the non-local edges are cut; every cut edge has a
-    # matching inter edge; every uncut edge stays inside one NoK.  The
-    # full pass checks NK002 as per-NoK root-reachability via a DFS —
-    # on an acyclic tree (the gates conjoin this predicate with
-    # tree_quick_clean / tree_verified) the parent rule is equivalent
-    # by ascending-chain induction, and strictly conservative
-    # otherwise, so a disagreement can only send us to the full
-    # passes, never skip them.
-    inter_pairs = {(e.parent.vid, e.child.vid) for e in dec.inter_edges}
-    for edge in tree.tree_edges:
-        if getattr(edge, "cut", False):
-            if edge.axis in _LOCAL_AXES:
-                return False
-            if (edge.parent.vid, edge.child.vid) not in inter_pairs:
-                return False
-        else:
-            if edge.axis not in _LOCAL_AXES:
-                return False
-            nok_id = nok_of_vertex_get(edge.parent.vid)
-            if nok_id is None or nok_of_vertex_get(edge.child.vid) != nok_id:
-                return False
-    # NK002: member lists and the recorded vertex->NoK map describe the
-    # same partition.  Identity tests against the vid slot keep stale
-    # vertex objects (same vid, different object) from aliasing live
-    # ones — the vid-keyed maps alone could not tell them apart.
-    total_members = 0
-    for nok in dec.noks:
-        nok_id = nok.nok_id
-        root = nok.root
-        root_seen = False
-        for vertex in nok.vertices:
-            total_members += 1
-            vid = vertex.vid
-            if not 0 <= vid < n or vertices[vid] is not vertex:
-                return False
-            if nok_of_vertex_get(vid) != nok_id:
-                return False
-            if vertex is root:
-                root_seen = True
-        if not root_seen:
-            return False
-    if total_members != n or len(nok_of_vertex) != n:
-        return False
-    # NK003: inter edges mirror the recorded NoK ids and form a forest.
-    # The full pass's reachability fixpoint is implied: every NoK root
-    # is either a pattern root (so its NoK is a scan anchor) or the
-    # child of a *cut* edge, whose matching inter edge (NK001) hangs it
-    # under its parent's NoK; induction over the acyclic vertex forest
-    # then reaches every NoK.
-    targets: set[int] = set()
-    noks = dec.noks
-    n_noks = len(noks)
-    for inter in dec.inter_edges:
-        if inter.axis in _LOCAL_AXES:
-            return False
-        parent = inter.parent
-        child = inter.child
-        if not 0 <= parent.vid < n or vertices[parent.vid] is not parent:
-            return False
-        if not 0 <= child.vid < n or vertices[child.vid] is not child:
-            return False
-        if nok_of_vertex_get(parent.vid) != inter.nok_from:
-            return False
-        nok_to = inter.nok_to
-        if nok_of_vertex_get(child.vid) != nok_to:
-            return False
-        if not 0 <= nok_to < n_noks or noks[nok_to].root is not child:
-            return False
-        if nok_to in targets:
-            return False
-        targets.add(nok_to)
-    for nok in noks:
-        parent_edge = nok.root.parent_edge
-        if parent_edge is None:
-            continue
-        if not getattr(parent_edge, "cut", False):
-            return False
-    # Pattern roots anchor their NoKs (parentless vertices are exactly
-    # tree.roots on a tree that passed the conjoined tree check).
-    for root in tree.roots:
-        nok_id = nok_of_vertex_get(root.vid)
-        if nok_id is None or not 0 <= nok_id < n_noks \
-                or noks[nok_id].root is not root:
-            return False
-    # DW002: the two Dewey maps agree and cover exactly the live tree.
-    # vid-indexing vertices is safe: the conjoined tree check verified
-    # vid density.
-    n = len(vertices)
-    of_vertex = dewey.of_vertex
-    of_vertex_get = of_vertex.get
-    vertex_of_get = dewey.vertex_of.get
-    root_ids = {id(r) for r in tree.roots}
-    for vid, ident in of_vertex.items():
-        if not 0 <= vid < n:
-            return False
-        vertex = vertices[vid]
-        if vertex_of_get(ident) is not vertex:
-            return False
-        if not vertex.returning and id(vertex) not in root_ids:
-            return False
-    for ident, vertex in dewey.vertex_of.items():
-        vid = vertex.vid
-        if not 0 <= vid < n or vertices[vid] is not vertex:
-            return False
-        if of_vertex_get(vid) != ident:
-            return False
-    # DW001: unique, rooted at 1.i, parent-extending, dense ordinals.
-    if len(set(of_vertex.values())) != len(of_vertex):
-        return False
-    for ordinal, root in enumerate(tree.roots, start=1):
-        if of_vertex_get(root.vid) != (1, ordinal):
-            return False
-    returning_parent_get = dewey.returning_parent.get
-    for vertex in vertices:
-        if not vertex.returning:
-            continue
-        assigned = of_vertex_get(vertex.vid)
-        if assigned is None or len(assigned) < 2:
-            return False
-        for part in assigned:
-            if part < 1:
-                return False
-        ancestor = _closest_returning_ancestor(vertex)
-        if ancestor is None:
-            continue
-        parent_id = of_vertex_get(ancestor.vid)
-        if parent_id is None:
-            continue  # caught on the ancestor's own iteration
-        if assigned[:-1] != parent_id:
-            return False
-        if returning_parent_get(vertex.vid) != ancestor.vid:
-            return False
-    # Dense sibling ordinals: IDs are unique (above), so ordinals under
-    # a prefix are distinct positive ints — dense 1..k iff max == count.
-    counts: dict[tuple[int, ...], int] = {}
-    maxes: dict[tuple[int, ...], int] = {}
-    counts_get = counts.get
-    maxes_get = maxes.get
-    for ident in of_vertex.values():
-        if len(ident) >= 2:
-            last = ident[-1]
-            if last < 1:
-                return False
-            prefix = ident[:-1]
-            counts[prefix] = counts_get(prefix, 0) + 1
-            if last > maxes_get(prefix, 0):
-                maxes[prefix] = last
-    for prefix, count in counts.items():
-        if maxes[prefix] != count:
-            return False
-    # PL001: join endpoints agree on the Dewey schema.
-    for inter in dec.inter_edges:
-        parent_id = of_vertex_get(inter.parent.vid)
-        if parent_id is None:
-            return False
-        if inter.child.returning:
-            child_id = of_vertex_get(inter.child.vid)
-            if child_id is None or child_id[:-1] != parent_id:
-                return False
-    # PL002/PL003: strategy applicability; a possible PL003 warning
-    # must go through the full pass so it is reported and counted.
-    if strategy is not None:
-        if strategy not in _KNOWN_STRATEGIES:
-            return False
-        if strategy == "twigstack":
-            from repro.physical.twigstack import twig_supported
-
-            if not twig_supported(tree):
-                return False
-        if strategy in ("pipelined", "caching") and recursive_document:
-            return False
-        if strategy == "parallel" and partition_unsafe_noks(dec):
-            return False
-    return True

@@ -292,8 +292,7 @@ class Database:
     def serve(self, workers: int = 4, *,
               max_queue: int = 64,
               default_timeout_ms: float | None = None,
-              result_cache=None,
-              result_cache_size: int | None = None) -> QueryService:
+              result_cache=None) -> QueryService:
         """Start (or return) the concurrent query service for this
         database.
 
@@ -303,18 +302,15 @@ class Database:
         admission control and per-query deadlines, and updates through
         copy-on-write snapshot batches — see :mod:`repro.serve`.
         ``result_cache`` configures the byte-accounted result cache
-        (see :func:`repro.serve.cachepolicy.resolve_result_cache`; the
-        deprecated entry-count ``result_cache_size=`` still maps for
-        one release).  The service is owned by the database:
-        :meth:`close` drains and stops it.  Calling ``serve()`` again
-        while the service runs returns the same instance (the knobs of
-        the first call win).
+        (see :func:`repro.serve.cachepolicy.resolve_result_cache`).
+        The service is owned by the database: :meth:`close` drains and
+        stops it.  Calling ``serve()`` again while the service runs
+        returns the same instance (the knobs of the first call win).
         """
         if self._closed:
             raise UsageError("database is closed")
         if self._service is not None and not self._service.closed:
             return self._service
-        from repro.engine._compat import absorb_result_cache
         from repro.serve.catalog import Catalog
         from repro.serve.service import QueryService
 
@@ -324,8 +320,7 @@ class Database:
         self._service = QueryService(
             catalog, workers=workers, max_queue=max_queue,
             default_timeout_ms=default_timeout_ms,
-            result_cache=absorb_result_cache("Database.serve", result_cache,
-                                             result_cache_size),
+            result_cache=result_cache,
             slow_log=self.slow_log)
         return self._service
 

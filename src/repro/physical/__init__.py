@@ -8,7 +8,6 @@ from repro.physical.nested_loop import (
 )
 from repro.physical.nok import NoKMatcher, match_subtree
 from repro.physical.nok_merge import merged_scan
-from repro.physical.pathstack import PathStackOperator, chain_supported
 from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join, stack_join_pairs
 from repro.physical.streaming import StreamingNoKMatcher, stream_count
@@ -18,12 +17,10 @@ from repro.physical.twigstack import TwigStackOperator, twig_supported
 __all__ = [
     "JoinResult",
     "NoKMatcher",
-    "PathStackOperator",
     "TwigStackOperator",
     "axis_test",
     "bounded_nested_loop_join",
     "caching_desc_join",
-    "chain_supported",
     "left_projection",
     "match_subtree",
     "merged_scan",

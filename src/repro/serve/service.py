@@ -38,7 +38,6 @@ from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future
 from dataclasses import dataclass
 
-from repro.engine._compat import absorb_result_cache
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.plancache import normalize_query_text
 from repro.engine.result import QueryResult
@@ -200,9 +199,7 @@ class QueryService:
         (``max_bytes`` / ``max_entries`` / ``ttl_s`` /
         ``max_entry_bytes`` / ``adaptive``), a
         :class:`~repro.serve.cachepolicy.CachePolicy` or a prebuilt
-        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.  The
-        deprecated ``result_cache_size=N`` (entry count) still maps for
-        one release.
+        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.
     default_document:
         Name used when calls omit ``doc`` (and for registering a
         non-catalog ``source``).
@@ -220,7 +217,6 @@ class QueryService:
                  workers: int = 4, max_queue: int = 64,
                  default_timeout_ms: float | None = None,
                  result_cache=None,
-                 result_cache_size: int | None = None,
                  default_document: str = "main",
                  slow_query_ms: float | None = None,
                  slow_log: SlowQueryLog | None = None,
@@ -257,9 +253,8 @@ class QueryService:
         #: Policy/storage result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
-        self.result_cache: ResultCacheStorage | None = resolve_result_cache(
-            absorb_result_cache("QueryService", result_cache,
-                                result_cache_size))
+        self.result_cache: ResultCacheStorage | None = \
+            resolve_result_cache(result_cache)
         self.catalog.on_retire(self._purge_results)
 
         self.slow_log = (slow_log if slow_log is not None

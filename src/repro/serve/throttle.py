@@ -113,7 +113,11 @@ class AdmissionController:
         self._samples: deque[float] = deque(maxlen=4 * self.adjust_every)
         self._since_adjust = 0
         self._failed_since_adjust = False
-        self._last_backoff = 0.0
+        #: Monotonic time of the last applied backoff; ``None`` until the
+        #: first one, so that one always applies (the monotonic clock's
+        #: epoch is unspecified — boot time on Linux — so no number is a
+        #: safe "long ago").
+        self._last_backoff: float | None = None
         self._admitted = 0
         self._rejected = 0
         self._backoffs = 0
@@ -180,7 +184,8 @@ class AdmissionController:
 
     def _backoff_locked(self) -> None:
         now = time.monotonic()
-        if now - self._last_backoff < self.backoff_interval_s:
+        if self._last_backoff is not None \
+                and now - self._last_backoff < self.backoff_interval_s:
             return
         self._last_backoff = now
         self._ssthresh = max(float(self.min_window), self._window / 2.0)

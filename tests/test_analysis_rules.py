@@ -16,9 +16,10 @@ from repro.analysis import (
     analyze_plan,
     analyze_tree,
     verify_artifacts,
+    verify_plan,
     verify_tree,
 )
-from repro.analysis.analyzer import VERIFY_RUNS
+from repro.analysis.analyzer import VERIFY_FINDINGS, VERIFY_RUNS
 from repro.analysis.passes import ast_pass, plan_pass
 from repro.analysis.report import AnalysisReport
 from repro.analysis.rules import RULES, Severity
@@ -26,6 +27,7 @@ from repro.engine.compiler import compile_query
 from repro.engine.optimizer import PlanChoice
 from repro.engine.plancache import PlanCache
 from repro.engine.prepared import CachedPlan
+from repro.engine.session import Engine
 from repro.errors import PlanInvariantError, UsageError
 from repro.pattern.artifact import PatternArtifacts, prepare_artifacts
 from repro.pattern.blossom import MODE_OPTIONAL
@@ -290,6 +292,53 @@ class TestEnforcementGates:
         with pytest.raises(PlanInvariantError):
             verify_artifacts(artifacts)
         assert VERIFY_RUNS.value(outcome="error") == before + 1
+
+    def test_clean_compile_counts_ok(self, small_bib):
+        before = VERIFY_RUNS.value(outcome="ok")
+        Engine(small_bib).query("for $b in //book return $b/title")
+        # One clean verdict from the tree gate at compile time, one from
+        # the plan gate before the plan enters the cache.
+        assert VERIFY_RUNS.value(outcome="ok") == before + 2
+
+    def test_pl003_plan_counts_warning_and_finding(self, recursive_doc):
+        warned = VERIFY_RUNS.value(outcome="warning")
+        pl003 = VERIFY_FINDINGS.value(rule="PL003")
+        Engine(recursive_doc).query("for $s in //section return $s/title",
+                                    strategy="pipelined")
+        assert VERIFY_RUNS.value(outcome="warning") == warned + 1
+        assert VERIFY_FINDINGS.value(rule="PL003") == pl003 + 1
+
+    def test_recompile_after_cache_clear_counts_memoized(self, small_bib):
+        engine = Engine(small_bib)
+        text = "for $b in //book return $b/title"
+        engine.query(text)
+        engine.plan_cache.invalidate("test")
+        ok = VERIFY_RUNS.value(outcome="ok")
+        memoized = VERIFY_RUNS.value(outcome="memoized")
+        engine.query(text)
+        assert VERIFY_RUNS.value(outcome="memoized") == memoized + 1
+        assert VERIFY_RUNS.value(outcome="ok") == ok
+
+    def test_clean_gates_report_the_passes_analysis_runs(self):
+        compiled = compile_query(TWIG)
+        tree = compiled.tree
+        assert verify_tree(tree, flwor=compiled.flwor).passes_run \
+            == analyze_tree(tree, flwor=compiled.flwor).passes_run
+        artifacts = prepare_artifacts(tree)
+        for tree_verified in (False, True):
+            assert verify_artifacts(
+                artifacts, strategy="pipelined", recursive_document=False,
+                tree_verified=tree_verified).passes_run \
+                == analyze_artifacts(
+                    artifacts, strategy="pipelined",
+                    recursive_document=False,
+                    tree_verified=tree_verified).passes_run
+            plan = CachedPlan(compiled, PlanChoice("pipelined", "test"),
+                              artifacts, "pipelined")
+            assert verify_plan(plan, recursive_document=False,
+                               tree_verified=tree_verified).passes_run \
+                == analyze_plan(plan, recursive_document=False,
+                                tree_verified=tree_verified).passes_run
 
     def test_warnings_do_not_raise(self):
         artifacts = artifacts_for(TWIG)

@@ -8,11 +8,8 @@ is covered in ``test_serve_service.py``; everything here drives the
 storage directly with a fake clock and fake results.
 """
 
-import warnings
-
 import pytest
 
-from repro.engine._compat import absorb_result_cache
 from repro.errors import UsageError
 from repro.obs.statstore import StatsStore
 from repro.serve.cachepolicy import (
@@ -431,25 +428,3 @@ class TestAdaptivePolicy:
         assert payload["policy"] == "AdaptiveCachePolicy"
         assert payload["decisions"] == {
             "grown": 0, "shrunk": 0, "entry_bound": 0}
-
-
-class TestResultCacheSizeShim:
-    def test_maps_to_max_entries_with_a_warning(self):
-        with pytest.warns(DeprecationWarning, match="result_cache_size"):
-            spec = absorb_result_cache("QueryService", None, 64)
-        assert spec == {"max_entries": 64}
-
-    def test_zero_still_disables(self):
-        with pytest.warns(DeprecationWarning):
-            spec = absorb_result_cache("QueryService", None, 0)
-        assert resolve_result_cache(spec) is None
-
-    def test_both_knobs_is_an_error(self):
-        with pytest.raises(UsageError, match="both"):
-            absorb_result_cache("QueryService", "16mb", 64)
-
-    def test_absent_knob_passes_through_untouched(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert absorb_result_cache("QueryService", "16mb", None) \
-                == "16mb"

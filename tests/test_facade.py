@@ -126,8 +126,8 @@ class TestUnifiedKeywords:
     on all five query surfaces: ``Engine.query``, ``Database.query``,
     ``PreparedQuery.execute``, ``QueryService.submit`` and the network
     ``Client.query``.  The one-release shims are gone: positional
-    options and ``parallelism=`` now raise a plain :class:`TypeError`
-    on every surface."""
+    options, ``parallelism`` and ``result_cache_size`` now raise a
+    plain :class:`TypeError` on every surface."""
 
     UNIFIED = ("params", "timeout_ms", "executor")
 
@@ -203,3 +203,15 @@ class TestUnifiedKeywords:
             service = db.serve(workers=1)
             with pytest.raises(TypeError, match="parallelism"):
                 service.submit("//book", parallelism=4)
+
+    def test_result_cache_size_kwarg_is_a_type_error(self):
+        # The entry-count result-cache shim is gone too (spell it
+        # result_cache={"max_entries": N}); stats()["result_cache_size"]
+        # stays as a reading.
+        from repro.serve.service import QueryService
+
+        with repro.connect(LIBRARY) as db:
+            with pytest.raises(TypeError, match="result_cache_size"):
+                db.serve(workers=1, result_cache_size=64)
+            with pytest.raises(TypeError, match="result_cache_size"):
+                QueryService(db.doc, workers=1, result_cache_size=64)

@@ -416,6 +416,18 @@ class TestAdmissionController:
         assert ctl.stats()["backoffs"] == 1
         assert ctl.window == 8           # one cut, not five
 
+    def test_first_backoff_applies_right_after_boot(self, monkeypatch):
+        # The monotonic clock counts from boot on Linux: five seconds
+        # after boot, the first overload must still halve the window.
+        monkeypatch.setattr("repro.serve.throttle.time.monotonic",
+                            lambda: 5.0)
+        ctl = AdmissionController(start_window=16,
+                                  backoff_interval_s=60.0)
+        ctl.try_acquire()
+        ctl.release(overloaded=True)
+        assert ctl.stats()["backoffs"] == 1
+        assert ctl.window == 8
+
     def test_bad_knobs_are_usage_errors(self):
         with pytest.raises(UsageError):
             AdmissionController(target_ms=0.0)
