@@ -9,8 +9,9 @@ The PR-5 acceptance benchmark, in two parts:
 * **recorded sweep** — the same query at parallelism 1/2/4 over one
   large corpus, results asserted bit-identical to serial, timings
   written to ``BENCH_PR5.json`` at the repo root (the parallel-smoke CI
-  job uploads it as an artifact).  Python threads share the GIL, so the
-  sweep documents the overhead curve rather than promising a speedup.
+  job uploads it as an artifact).  Partitions run on the process
+  backend; its speedup gate lives in ``test_process_scan_bench.py``, so
+  this sweep documents the overhead curve rather than promising one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from pathlib import Path
 
 from repro.pattern import build_from_path, decompose
 from repro.physical import merged_scan
-from repro.physical.parallel_scan import parallel_merged_scan, shared_scan_executor
+from repro.physical.parallel_scan import parallel_merged_scan
+from repro.physical.process_scan import ProcessScanBackend
+from repro.xmlkit.arena import release_arena
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.tree import Document, DocumentBuilder
 from repro.xpath import parse_xpath
@@ -68,27 +71,32 @@ def nid_lists(results: dict) -> dict[int, list[int]]:
 
 def test_single_partition_overhead_within_5pct_and_record_sweep():
     doc = build_corpus()
-    executor = shared_scan_executor()
+    backend = ProcessScanBackend()
 
     serial_s, serial_results = best_of(
         REPEATS, lambda: merged_scan(noks_for(QUERY), doc))
     serial_nids = nid_lists(serial_results)
 
     timings: dict[str, float] = {"serial_ms": round(serial_s * 1e3, 3)}
-    for parallelism in (1, 2, 4):
-        partitions = partition_document(doc, parallelism)
+    try:
+        for parallelism in (1, 2, 4):
+            partitions = partition_document(doc, parallelism)
 
-        def run_parallel(partitions=partitions):
-            return parallel_merged_scan(noks_for(QUERY), doc,
-                                        partitions=partitions,
-                                        executor=executor)
+            def run_parallel(partitions=partitions):
+                return parallel_merged_scan(noks_for(QUERY), doc,
+                                            partitions=partitions,
+                                            process_backend=backend)
 
-        par_s, par_results = best_of(REPEATS, run_parallel)
-        # Theorem 1: partition-order concatenation is bit-identical to
-        # the serial scan — order included — at every parallelism.
-        assert nid_lists(par_results) == serial_nids
-        timings[f"parallel_{parallelism}_ms"] = round(par_s * 1e3, 3)
-        timings[f"n_partitions_{parallelism}"] = len(partitions)
+            par_s, par_results = best_of(REPEATS, run_parallel)
+            # Theorem 1: partition-order concatenation is bit-identical
+            # to the serial scan — order included — at every
+            # parallelism.
+            assert nid_lists(par_results) == serial_nids
+            timings[f"parallel_{parallelism}_ms"] = round(par_s * 1e3, 3)
+            timings[f"n_partitions_{parallelism}"] = len(partitions)
+    finally:
+        backend.close(wait=True)
+        release_arena(doc)
 
     overhead_pct = (timings["parallel_1_ms"] / timings["serial_ms"] - 1) * 100
     BENCH_PR5_PATH.write_text(json.dumps({

@@ -1,7 +1,7 @@
-"""Process-backend benchmark: serial vs thread vs process merged scans.
+"""Process-backend benchmark: serial vs process merged scans.
 
 The PR-9 acceptance benchmark.  One large corpus, one scan-bound query,
-three backends — results asserted bit-identical (Theorem 1 across the
+two backends — results asserted bit-identical (Theorem 1 across the
 process boundary), timings recorded to ``BENCH_PR9.json`` at the repo
 root (the parallel-smoke CI job uploads it as an artifact).
 
@@ -25,10 +25,7 @@ from pathlib import Path
 
 from repro.pattern import build_from_path, decompose
 from repro.physical import merged_scan
-from repro.physical.parallel_scan import (
-    parallel_merged_scan,
-    shared_scan_executor,
-)
+from repro.physical.parallel_scan import parallel_merged_scan
 from repro.physical.process_scan import ProcessScanBackend
 from repro.xmlkit.arena import release_arena
 from repro.xmlkit.partition import partition_document
@@ -94,16 +91,10 @@ def test_process_backend_speedup_recorded_and_gated():
         serial_again_s, _ = best_of(
             REPEATS, lambda: merged_scan(noks_for(QUERY), doc))
 
-        threads_s, thread_results = best_of(
-            REPEATS, lambda: parallel_merged_scan(
-                noks_for(QUERY), doc, partitions=partitions,
-                executor=shared_scan_executor()))
-        assert nid_lists(thread_results) == serial_nids
-
         def run_processes():
             return parallel_merged_scan(
                 noks_for(QUERY), doc, partitions=partitions,
-                backend="processes", process_backend=backend)
+                process_backend=backend)
 
         run_processes()                        # warm: fork + arena write
         processes_s, process_results = best_of(REPEATS, run_processes)
@@ -114,7 +105,6 @@ def test_process_backend_speedup_recorded_and_gated():
 
     serial_drift_pct = (serial_again_s / serial_s - 1) * 100
     speedup_processes = serial_s / processes_s
-    speedup_threads = serial_s / threads_s
     BENCH_PR9_PATH.write_text(json.dumps({
         "benchmark": "process_parallel_merged_scan",
         "query": QUERY,
@@ -125,9 +115,7 @@ def test_process_backend_speedup_recorded_and_gated():
         "serial_ms": round(serial_s * 1e3, 3),
         "serial_rerun_ms": round(serial_again_s * 1e3, 3),
         "serial_drift_pct": round(serial_drift_pct, 2),
-        "threads_4_ms": round(threads_s * 1e3, 3),
         "processes_4_ms": round(processes_s * 1e3, 3),
-        "speedup_threads_4": round(speedup_threads, 3),
         "speedup_processes_4": round(speedup_processes, 3),
         "speedup_gate_enforced": cpu_count >= 2,
     }, indent=2) + "\n", encoding="utf-8")

@@ -60,7 +60,7 @@ PATTERN_STRATEGIES = ("pipelined", "twigstack")
 #: where the partition hand-off may or may not pay for itself.
 PARALLEL_QUERY = "//book/title"
 PARALLEL_STRATEGIES = ("parallel", "pipelined")
-PARALLEL_EXECUTOR = "threads:4"
+PARALLEL_EXECUTOR = "processes:4"
 
 
 def build_corpus(n_books: int = N_BOOKS) -> Document:

@@ -1,17 +1,20 @@
 """The execution-backend spec shared by every query surface.
 
-PR 9 replaces the ad-hoc ``parallelism: int`` kwarg with one
-``executor=`` argument accepted (keyword-only) by ``Engine.query``,
-``Database.query``, ``PreparedQuery.execute``, ``QueryService.submit``
-and ``Client.query``.  The spec names *how* the scan phase executes —
-``"serial"``, ``"threads"`` or ``"processes"`` — and with how many
-workers, instead of leaking a thread count through every layer and
-leaving the backend choice implicit.
+One ``executor=`` argument is accepted (keyword-only) by
+``Engine.query``, ``Database.query``, ``PreparedQuery.execute``,
+``QueryService.submit`` and ``Client.query``.  The spec names *how* the
+scan phase executes — ``"serial"`` or ``"processes"`` — and with how
+many workers.
 
 :class:`ExecutionBackend` is a frozen dataclass so it can sit directly
 in plan-cache, result-cache and stats-store keys; :attr:`ExecutionBackend.key`
-is its canonical string form (``"serial"``, ``"threads:4"``,
-``"processes:4"``) and is what the v1 wire protocol carries.
+is its canonical string form (``"serial"``, ``"processes:4"``) and is
+what the v1 wire protocol carries.
+
+The GIL-bound ``threads`` backend is gone.  For one release the string
+keys ``"threads"`` / ``"threads:N"`` still parse — to the serial spec,
+with a :class:`DeprecationWarning` — in :meth:`ExecutionBackend.from_key`,
+the one parser every surface and wire frame goes through.
 
 This module deliberately imports nothing from the rest of the engine so
 the serving layer can use it without cycles.
@@ -19,6 +22,7 @@ the serving layer can use it without cycles.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -26,7 +30,7 @@ from repro.errors import ReproError
 __all__ = ["ExecutionBackend", "BACKEND_KINDS", "DEFAULT_PARALLEL_WORKERS",
            "resolve_backend"]
 
-BACKEND_KINDS = ("serial", "threads", "processes")
+BACKEND_KINDS = ("serial", "processes")
 
 #: Worker count used when a parallel backend is named without one.
 DEFAULT_PARALLEL_WORKERS = 4
@@ -37,7 +41,7 @@ class ExecutionBackend:
     """How the scan phase of a query executes.
 
     ``kind`` is one of :data:`BACKEND_KINDS`; ``workers`` is the
-    partition fan-out for the parallel kinds (ignored for ``serial``).
+    partition fan-out of the process backend (ignored for ``serial``).
     """
 
     kind: str = "serial"
@@ -69,6 +73,12 @@ class ExecutionBackend:
     def from_key(cls, key: str) -> "ExecutionBackend":
         """Parse the canonical string form back into a spec."""
         kind, sep, count = key.partition(":")
+        if kind == "threads":
+            warnings.warn(
+                f"executor {key!r}: the threads backend was removed; "
+                f"running serially (use 'processes:N' for a parallel "
+                f"scan)", DeprecationWarning, stacklevel=2)
+            return cls()
         if kind == "serial" and not sep:
             return cls()
         if not sep:
@@ -85,15 +95,14 @@ def resolve_backend(executor: "ExecutionBackend | str | None",
                     strategy: str = "auto") -> ExecutionBackend:
     """Normalize an ``executor=`` argument into an :class:`ExecutionBackend`.
 
-    Accepts the dataclass itself, a kind name (``"threads"``), a full
+    Accepts the dataclass itself, a kind name (``"processes"``), a full
     key (``"processes:8"``), or ``None`` — which defaults to a
-    four-worker thread backend when the caller explicitly asked for the
-    ``parallel`` strategy (preserving the pre-redesign default) and to
-    serial otherwise.
+    four-worker process backend when the caller explicitly asked for
+    the ``parallel`` strategy and to serial otherwise.
     """
     if executor is None:
         if strategy == "parallel":
-            return ExecutionBackend("threads", DEFAULT_PARALLEL_WORKERS)
+            return ExecutionBackend("processes", DEFAULT_PARALLEL_WORKERS)
         return ExecutionBackend()
     if isinstance(executor, ExecutionBackend):
         return executor

@@ -72,12 +72,12 @@ class Database:
         self.doc = doc
         self.engine = Engine(doc, feedback=feedback,
                              analyze_queries=analyze_queries)
-        #: Lazily-spawned scan executors (thread pool + process backend)
-        #: owned by this database; every parallel plan of ``self.engine``
-        #: rides them, and :meth:`close` shuts them down deterministically.
-        from repro.physical.process_scan import ScanPools
+        #: The lazily-spawned process pool every parallel plan of
+        #: ``self.engine`` rides; :meth:`close` shuts it down.
+        from repro.physical.process_scan import ProcessScanBackend
 
-        self._scan_pools = ScanPools()
+        self._process_backend = ProcessScanBackend()
+        self.engine.process_executor = self._process_backend
         self._updater: DocumentUpdater | None = None
         self._service: QueryService | None = None
         self._server: Server | None = None
@@ -144,7 +144,6 @@ class Database:
         When the slow-query log is enabled the call is timed and,
         past the threshold, recorded with plan and counters.
         """
-        self._wire_pools()
         if self.slow_log is None:
             return self.engine.query(text, strategy=strategy,
                                      counters=counters,
@@ -174,21 +173,8 @@ class Database:
                 executor: ExecutionBackend | str | None = None
                 ) -> PreparedQuery:
         """Compile once for repeated execution (see :meth:`Engine.prepare`)."""
-        self._wire_pools()
         return self.engine.prepare(text, strategy=strategy,
                                    executor=executor)
-
-    def _wire_pools(self) -> None:
-        """Point the engine's scan executors at the database-owned pools.
-
-        The pools themselves stay lazy — nothing is spawned until a
-        parallel plan actually submits a partition task — but ownership
-        is fixed here so :meth:`close` can shut down whatever was used.
-        """
-        if self.engine.scan_executor is None:
-            self.engine.scan_executor = self._scan_pools.thread_pool()
-        if self.engine.process_executor is None:
-            self.engine.process_executor = self._scan_pools.process_backend()
 
     def explain_analyze(self, text: str, strategy: str = "auto",
                         work_budget: int | None = None, *,
@@ -352,11 +338,11 @@ class Database:
 
     def close(self) -> None:
         """Drain and stop the network server and query service (if
-        any), shut down the database-owned scan executors (thread and
-        process pools), release the document's arena file, and close
-        the slow-query log.  Idempotent; the database refuses new
-        serving after close, but plain serial :meth:`query` calls keep
-        working (they hold no external resources)."""
+        any), shut down the database-owned process pool, release the
+        document's arena file, and close the slow-query log.
+        Idempotent; the database refuses new serving after close, but
+        plain serial :meth:`query` calls keep working (they hold no
+        external resources)."""
         if self._closed:
             return
         self._closed = True
@@ -364,11 +350,10 @@ class Database:
             self._server.close()
         if self._service is not None:
             self._service.close(drain=True)
-        # Deterministic worker-pool cleanup: drain and stop the scan
-        # executors this database owns, and release the document's
-        # arena file if process-backend queries materialized one.
-        self._scan_pools.close(wait=True)
-        self.engine.scan_executor = None
+        # Deterministic worker-pool cleanup: drain and stop the process
+        # pool this database owns, and release the document's arena
+        # file if process-backend queries materialized one.
+        self._process_backend.close(wait=True)
         self.engine.process_executor = None
         from repro.xmlkit.arena import release_arena
 

@@ -96,16 +96,8 @@ class FLWORExecutor:
     parallelism:
         Partition count for the match phase.  With ``parallelism > 1``
         the merged NoK scan runs partition-parallel
-        (:func:`~repro.physical.parallel_scan.parallel_merged_scan`);
-        the default of 1 keeps the serial scan.
-    scan_executor:
-        Executor for partition scan tasks (``None`` uses the shared
-        process-wide pool; the query service passes its own).
-    scan_backend:
-        ``"threads"`` (default) or ``"processes"`` — which execution
-        backend the parallel match phase runs on.  ``"processes"``
-        replays the dispatch loop in worker processes over the
-        mmap-shared arena (:mod:`repro.physical.process_scan`).
+        (:func:`~repro.physical.parallel_scan.parallel_merged_scan`)
+        in worker processes; the default of 1 keeps the serial scan.
     process_executor:
         The owning stack's
         :class:`~repro.physical.process_scan.ProcessScanBackend`
@@ -121,7 +113,6 @@ class FLWORExecutor:
                  recursive_hint: bool | None = None,
                  tracer: Tracer | None = None,
                  *, index=None, parallelism: int = 1,
-                 scan_executor=None, scan_backend: str = "threads",
                  process_executor=None, doc_stats=None) -> None:
         self.doc = doc
         self.resolve_doc = resolve_doc if resolve_doc is not None else (lambda uri: doc)
@@ -134,8 +125,6 @@ class FLWORExecutor:
         self._recursive_hint = recursive_hint
         self.index = index
         self.parallelism = max(1, parallelism)
-        self.scan_executor = scan_executor
-        self.scan_backend = scan_backend
         self.process_executor = process_executor
         self._doc_stats = doc_stats
         self._direct = DirectEvaluator(doc, self.resolve_doc)
@@ -267,8 +256,6 @@ class FLWORExecutor:
                         noks, doc, self.counters, per_nok,
                         parallelism=self.parallelism,
                         stats=self._doc_stats if doc is self.doc else None,
-                        executor=self.scan_executor,
-                        backend=self.scan_backend,
                         process_backend=self.process_executor,
                         tracer=self.tracer if self._tracing else None)
                 else:

@@ -200,13 +200,9 @@ class Engine:
             if self.documents else _NO_FOREIGN)
         self.work_budget = work_budget
         self.index = TagIndex(doc)
-        #: Executor used for partition scan tasks of parallel plans
-        #: (``None`` = the shared process-wide pool; the query service
-        #: installs its own so partition tasks ride the serve workers).
-        self.scan_executor = None
-        #: Process backend for ``executor="processes"`` plans (``None``
-        #: = the shared process-wide pool; Database / QueryService
-        #: install their owned pools here).
+        #: Process backend for the partition scans of ``parallel`` plans
+        #: (``None`` = the shared process-wide pool; Database /
+        #: QueryService install their owned pools here).
         self.process_executor = None
         self._stats: DocumentStats | None = None
         #: Run the structural-summary query lint (QL rules) at compile
@@ -292,9 +288,8 @@ class Engine:
         :meth:`PreparedQuery.execute` takes.
 
         ``executor`` names the execution backend for the match phase —
-        ``"serial"``, ``"threads"``, ``"processes"``, a
-        ``"<kind>:<workers>"`` key, or an
-        :class:`~repro.engine.backend.ExecutionBackend`.  A parallel
+        ``"serial"``, ``"processes"``, a ``"processes:<workers>"`` key,
+        or an :class:`~repro.engine.backend.ExecutionBackend`.  A parallel
         backend offers the optimizer a partition budget: under
         ``strategy="auto"`` large non-recursive documents upgrade to
         the ``parallel`` strategy (partition-parallel merged scans,
@@ -352,10 +347,14 @@ class Engine:
         :meth:`Database.updater` wires this into the
         :class:`~repro.xmlkit.update.DocumentUpdater` listener hook;
         call it directly when mutating the document through other
-        means.  Drops cached statistics and every cached plan, and
+        means.  Drops cached statistics, every cached plan and the
+        document's arena file (the process backend's scan image), and
         bumps the document version so fingerprints of old plans can
         never match again.
         """
+        from repro.xmlkit.arena import release_arena
+
+        release_arena(self.doc)
         self._doc_version += 1
         self._stats = None
         self._summary = None
@@ -797,9 +796,6 @@ class Engine:
             index=self.index,
             parallelism=(max(2, backend.parallelism)
                          if choice.strategy == "parallel" else 1),
-            scan_executor=self.scan_executor,
-            scan_backend=("processes" if backend.kind == "processes"
-                          else "threads"),
             process_executor=self.process_executor,
             doc_stats=self.stats)
         try:

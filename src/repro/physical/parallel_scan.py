@@ -1,103 +1,68 @@
-"""Partition-parallel merged NoK evaluation.
+"""Partition-parallel merged NoK evaluation: the coordinator.
 
 The parallel twin of :func:`~repro.physical.nok_merge.merged_scan`:
 the document is cut into Dewey-contiguous subtree partitions
-(:mod:`repro.xmlkit.partition`), each partition is scanned by an
-executor task running the same dispatch loop as the serial merged scan,
-and the per-NoK match lists are concatenated in partition order.
+(:mod:`repro.xmlkit.partition`), each partition is scanned by a worker
+process running the same dispatch loop as the serial merged scan
+(:func:`~repro.physical.process_scan._scan_partition_task`, over the
+mmap-shared flat arena), and the per-NoK match lists are concatenated
+in partition order.
 
 Correctness rests on Theorem 1's order argument: the serial scan emits
 matches in document order, each partition is a contiguous slice of that
 order, and the partitions tile the arena — so concatenation in
 partition order *is* the serial output, bit for bit.  The differential
-test suite asserts exactly that, match list by match list.
+test suites assert exactly that, match list by match list.
 
 Deviations from the serial operator, by design:
 
 * ``counters.scans_started`` grows by one per partition (each partition
-  opens its own :class:`~repro.xmlkit.storage.SequentialScan`);
-  ``nodes_scanned`` still counts every arena slot exactly once.
+  opens its own scan); ``nodes_scanned`` still counts every arena slot
+  exactly once.
 * The work ``budget`` is an approximate **global** cap: partitions fold
   their scanned count into one shared cell every
-  :data:`~repro.physical.parallel_scan._BUDGET_STRIDE` nodes and abort
-  once the total exceeds the budget.  Keeping the synchronized counter
-  off the hottest loop means the cap can overshoot by at most
-  ``partitions × stride`` nodes — bounded, unlike the old per-partition
-  cap, which could overshoot by ``partitions × budget``.
+  :data:`~repro.physical.process_scan._STRIDE` nodes and abort once the
+  total exceeds the budget, so the cap can overshoot by at most
+  ``partitions × stride`` nodes.
 * Pattern-tree-root (``#root``) NoKs are matched once on the document
   node by the coordinator, never inside a partition task.  Plans that
   reach this operator through the ``parallel`` strategy are refused by
   analyzer rule PL004 when they contain ``#root``-rooted NoKs; calling
   the operator directly with them is still correct.
 
-Cancellation stays cooperative: the shared
-:class:`~repro.xmlkit.storage.CancellationToken` is checkpointed from
-every partition's scan loop, so a deadline or cancel is observed within
-one stride in every task.
-
-Two execution backends share this contract: ``backend="threads"`` runs
-the partition tasks on a :class:`~concurrent.futures.ThreadPoolExecutor`
-over the live object tree, while ``backend="processes"`` delegates to
-:mod:`repro.physical.process_scan`, which replays the same dispatch
-loop in worker processes over an mmap-shared flat arena
-(:mod:`repro.xmlkit.arena`).
+Cancellation stays cooperative: deadlines and cancels are observed
+within one stride in every worker (see :mod:`repro.physical.process_scan`).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from typing import TYPE_CHECKING
 
-from repro.errors import DNFError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Tracer
 from repro.pattern.decompose import NoKTree
 from repro.physical.nok import match_subtree
 from repro.physical.nok_merge import merged_scan
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.stats import DocumentStats
-from repro.xmlkit.storage import ScanCounters, SequentialScan
+from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
 from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
-__all__ = ["parallel_merged_scan", "shared_scan_executor"]
+if TYPE_CHECKING:
+    from repro.physical.process_scan import ProcessScanBackend
+
+__all__ = ["parallel_merged_scan"]
 
 _INVOCATIONS = REGISTRY.counter("repro_operator_invocations_total",
                                 "Physical operator invocations")
 _OUTPUT = REGISTRY.counter("repro_operator_output_total",
                            "Items emitted by physical operators")
-_PARTITION_SCANS = REGISTRY.counter(
-    "repro_partition_scans_total",
-    "Partition scan tasks executed by the parallel merged scan")
 _PARTITION_FALLBACKS = REGISTRY.counter(
     "repro_partition_fallbacks_total",
     "Parallel scan requests that collapsed to a single-partition "
     "serial scan")
-
-#: Nodes a partition scans between folds into the shared budget cell.
-_BUDGET_STRIDE = 256
-
-_shared_lock = threading.Lock()
-_shared_executor: ThreadPoolExecutor | None = None
-
-
-def shared_scan_executor() -> ThreadPoolExecutor:
-    """The process-wide scan pool, created lazily on first parallel scan.
-
-    Serving stacks (``QueryService``) pass their own pool instead, so
-    partition tasks ride the same workers as the queries themselves.
-    """
-    global _shared_executor
-    if _shared_executor is None:
-        with _shared_lock:
-            if _shared_executor is None:
-                _shared_executor = ThreadPoolExecutor(
-                    max_workers=min(8, os.cpu_count() or 4),
-                    thread_name_prefix="repro-scan")
-    return _shared_executor
 
 
 def parallel_merged_scan(noks: list[NoKTree], doc: Document,
@@ -107,9 +72,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          parallelism: int = 2,
                          stats: DocumentStats | None = None,
                          partitions: list[Partition] | None = None,
-                         executor: Executor | None = None,
-                         backend: str = "threads",
-                         process_backend: object | None = None,
+                         process_backend: ProcessScanBackend | None = None,
                          tracer: Tracer | None = None,
                          ) -> dict[int, list[NLEntry]]:
     """Evaluate several NoK pattern trees over partition-parallel scans.
@@ -117,9 +80,8 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     Same contract as :func:`~repro.physical.nok_merge.merged_scan`
     (per-NoK match lists in document order; optional ``per_nok`` work
     attribution folded back into the shared ``counters``), evaluated as
-    one scan task per partition on ``executor`` (``backend="threads"``)
-    or on a :class:`~repro.physical.process_scan.ProcessScanBackend`
-    worker pool over the mmap-shared arena (``backend="processes"``).
+    one scan task per partition on ``process_backend`` (``None`` uses
+    the shared process-wide pool).
 
     ``partitions`` overrides the stats-driven partitioning (tests use
     this to force fine-grained cuts on small documents); with a single
@@ -135,195 +97,32 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
 
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
 
-    def counters_for(nok: NoKTree) -> ScanCounters:
-        if per_nok is None:
-            return counters
-        return per_nok.setdefault(nok.nok_id, ScanCounters())
-
     # #root NoKs match the document node directly, exactly once, in the
     # coordinator — they are independent of the element scan.
     evaluator = XPathEvaluator()
     scannable: list[NoKTree] = []
     for nok in noks:
         if nok.root.name == "#root":
+            nok_counters = (counters if per_nok is None
+                            else per_nok.setdefault(nok.nok_id,
+                                                    ScanCounters()))
             entry = match_subtree(nok.root, doc.document_node,
-                                  counters_for(nok), evaluator)
+                                  nok_counters, evaluator)
             if entry is not None:
                 results[nok.nok_id].append(entry)
         else:
             scannable.append(nok)
 
-    if not scannable:
-        _INVOCATIONS.inc(operator="parallel_scan")
-        _OUTPUT.inc(sum(len(v) for v in results.values()),
-                    operator="parallel_scan")
-        return results
-
-    if backend == "processes":
+    if scannable:
+        # Imported here so serial-only callers never load multiprocessing.
         from repro.physical import process_scan
 
-        pool_backend = (process_backend if process_backend is not None
-                        else process_scan.shared_process_backend())
-        assert isinstance(pool_backend, process_scan.ProcessScanBackend)
-        results = process_scan.run_process_scan(
-            pool_backend, doc, scannable, partitions, counters, per_nok,
-            results, tracer)
-        _INVOCATIONS.inc(operator="parallel_scan")
-        _OUTPUT.inc(sum(len(v) for v in results.values()),
-                    operator="parallel_scan")
-        return results
-
-    # Shared read-only dispatch table (same as the serial merged scan).
-    by_tag: dict[str, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
-    for nok in scannable:
-        if nok.root.name == "*":
-            wildcard.append(nok)
-        else:
-            by_tag.setdefault(nok.root.name, []).append(nok)
-
-    # Per-partition private state, indexed by partition order so the
-    # coordinator can merge deterministically even after an abort.
-    n_parts = len(partitions)
-    part_results: list[dict[int, list[NLEntry]] | None] = [None] * n_parts
-    part_counters: list[ScanCounters | None] = [None] * n_parts
-    part_per_nok: list[dict[int, ScanCounters] | None] = [None] * n_parts
-    part_times: list[tuple[int, int]] = [(0, 0)] * n_parts
-
-    # The work budget is enforced globally: partitions run with no local
-    # budget and instead fold their scanned count into this shared cell
-    # every _BUDGET_STRIDE nodes, aborting once the total is over.
-    budget = counters.budget
-    budget_lock = threading.Lock()
-    budget_cell = [counters.nodes_scanned]
-
-    def run_partition(part: Partition) -> None:
-        local_counters = ScanCounters(cancellation=counters.cancellation)
-        local_per_nok: dict[int, ScanCounters] | None = (
-            {} if per_nok is not None else None)
-        local: dict[int, list[NLEntry]] = {
-            nok.nok_id: [] for nok in scannable}
-        part_results[part.index] = local
-        part_counters[part.index] = local_counters
-        part_per_nok[part.index] = local_per_nok
-        local_eval = XPathEvaluator()
-
-        def local_counters_for(nok: NoKTree) -> ScanCounters:
-            if local_per_nok is None:
-                return local_counters
-            return local_per_nok.setdefault(nok.nok_id, ScanCounters())
-
-        flushed = 0
-
-        def flush_budget(enforce: bool) -> None:
-            nonlocal flushed
-            delta = local_counters.nodes_scanned - flushed
-            if not delta:
-                return
-            flushed = local_counters.nodes_scanned
-            with budget_lock:
-                budget_cell[0] += delta
-                total = budget_cell[0]
-            if enforce and budget is not None and total > budget:
-                local_counters.trip_budget()
-                raise DNFError("parallel scan exceeded the global "
-                               "work budget", budget=budget)
-
-        started = time.perf_counter_ns()
-        try:
-            scan = SequentialScan(doc, local_counters,
-                                  part.start_nid, part.stop_nid)
-            for node in scan:
-                if (budget is not None
-                        and local_counters.nodes_scanned - flushed
-                        >= _BUDGET_STRIDE):
-                    flush_budget(True)
-                named = by_tag.get(node.tag)
-                candidates = (named + wildcard if named and wildcard
-                              else named or wildcard)
-                if not candidates:
-                    continue
-                for nok in candidates:
-                    entry = match_subtree(nok.root, node,
-                                          local_counters_for(nok),
-                                          local_eval)
-                    if entry is not None:
-                        local[nok.nok_id].append(entry)
-            if budget is not None:
-                flush_budget(True)
-        finally:
-            flush_budget(False)
-            part_times[part.index] = (started, time.perf_counter_ns())
-            _PARTITION_SCANS.inc()
-
-    pool = executor if executor is not None else shared_scan_executor()
-    futures = [pool.submit(run_partition, part) for part in partitions]
-    wait(futures)
-
-    try:
-        # Surface the first failure in partition order (deterministic
-        # regardless of thread scheduling); DNF/timeout/cancel all
-        # propagate exactly as they do from the serial scan.
-        for future in futures:
-            exc = future.exception()
-            if exc is not None:
-                raise exc
-    finally:
-        # Fold every partition's work into the shared totals — aborted
-        # partitions included, mirroring the serial operator's
-        # ``finally`` merge of private per-NoK counters.
-        for index in range(n_parts):
-            local_counters = part_counters[index]
-            if local_counters is None:
-                continue
-            local_per_nok = part_per_nok[index]
-            if local_per_nok is not None:
-                for nok_id, private in local_per_nok.items():
-                    assert per_nok is not None
-                    per_nok.setdefault(nok_id, ScanCounters()).merge(private)
-                    local_counters.merge(private)
-            counters.merge(local_counters)
-        _emit_partition_spans(tracer, partitions, part_times, part_results)
-
-    for index in range(n_parts):
-        local = part_results[index]
-        if local is None:
-            continue
-        for nok_id, entries in local.items():
-            results[nok_id].extend(entries)
-
+        if process_backend is None:
+            process_backend = process_scan.shared_process_backend()
+        process_scan.run_process_scan(process_backend, doc, scannable,
+                                      partitions, counters, per_nok,
+                                      results, tracer)
     _INVOCATIONS.inc(operator="parallel_scan")
     _OUTPUT.inc(sum(len(v) for v in results.values()),
                 operator="parallel_scan")
     return results
-
-
-def _emit_partition_spans(tracer: Tracer | None,
-                          partitions: list[Partition],
-                          part_times: list[tuple[int, int]],
-                          part_results: list[dict[int, list[NLEntry]] | None],
-                          ) -> None:
-    """Attach one child span per partition to the open tracer span.
-
-    The tracer's stack is owned by the coordinating thread, so worker
-    tasks only record raw timestamps; the coordinator materialises the
-    spans after the barrier, preserving measured wall time.
-    """
-    if tracer is None:
-        return
-    parent = tracer.current()
-    if parent is None:
-        return
-    for part in partitions:
-        started, ended = part_times[part.index]
-        local = part_results[part.index]
-        span = Span("partition-scan", {
-            "partition": part.index,
-            "start_nid": part.start_nid,
-            "stop_nid": part.stop_nid,
-            "matches": (sum(len(v) for v in local.values())
-                        if local is not None else 0),
-        })
-        span.start_ns = started
-        span.end_ns = ended
-        parent.children.append(span)

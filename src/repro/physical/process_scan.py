@@ -1,8 +1,8 @@
 """Process execution backend for the partition-parallel merged scan.
 
-Threads bought the Theorem-1 architecture but not the speed — the GIL
-serializes the per-node dispatch loop.  This module runs the same loop
-in **worker processes** over the mmap-shared flat arena
+The GIL serializes a per-node dispatch loop run on threads, so the
+partition scans of :func:`~repro.physical.parallel_scan.parallel_merged_scan`
+run in **worker processes** over the mmap-shared flat arena
 (:mod:`repro.xmlkit.arena`):
 
 * a persistent :class:`~concurrent.futures.ProcessPoolExecutor` is kept
@@ -26,7 +26,7 @@ in **worker processes** over the mmap-shared flat arena
   :class:`~repro.errors.ExecutionError` — never a hang — and the pool
   is rebuilt for the next query.
 
-Counter semantics mirror the thread backend exactly: workers run real
+Counter semantics mirror the serial merged scan: workers run real
 :class:`~repro.xmlkit.storage.ScanCounters` (plus per-NoK attribution
 when requested) and return snapshots the coordinator folds into the
 shared totals, aborted partitions included.
@@ -44,7 +44,7 @@ import threading
 import time
 from array import array
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -63,7 +63,7 @@ from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import ELEMENT, Document
 from repro.xpath.evaluator import XPathEvaluator
 
-__all__ = ["ProcessScanBackend", "ScanPools", "run_process_scan",
+__all__ = ["ProcessScanBackend", "run_process_scan",
            "shared_process_backend", "shutdown_shared_process_backend"]
 
 _PARTITION_SCANS = REGISTRY.counter(
@@ -94,10 +94,13 @@ class ProcessScanBackend:
 
     Created lazily (constructing the object spawns nothing), rebuilt
     transparently after a crash, shut down deterministically by its
-    owner's ``close()``.
+    owner's ``close()``.  ``max_workers`` defaults to the core count,
+    capped at four.
     """
 
-    def __init__(self, max_workers: int = 4) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is None:
+            max_workers = min(4, os.cpu_count() or 1)
         self.max_workers = max(1, max_workers)
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
@@ -179,62 +182,17 @@ class ProcessScanBackend:
         return self._ensure().submit(_scan_partition_task, *args)
 
 
-class ScanPools:
-    """Owner object for one stack's scan executors, both lazy.
-
-    Engines, databases and query services each hold one; ``close()``
-    drains and shuts down whatever was actually spawned (satisfying the
-    deterministic-cleanup contract without paying for pools that were
-    never used).
-    """
-
-    def __init__(self, thread_workers: int | None = None,
-                 process_workers: int | None = None,
-                 thread_name_prefix: str = "repro-scan") -> None:
-        self._thread_workers = thread_workers
-        self._process_workers = process_workers
-        self._prefix = thread_name_prefix
-        self._lock = threading.Lock()
-        self._threads: ThreadPoolExecutor | None = None
-        self._processes: ProcessScanBackend | None = None
-
-    def thread_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._threads is None:
-                workers = self._thread_workers or min(8, os.cpu_count() or 4)
-                self._threads = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix=self._prefix)
-            return self._threads
-
-    def process_backend(self) -> ProcessScanBackend:
-        with self._lock:
-            if self._processes is None:
-                workers = self._process_workers or min(4, os.cpu_count() or 1)
-                self._processes = ProcessScanBackend(max_workers=workers)
-            return self._processes
-
-    def close(self, wait: bool = True) -> None:
-        with self._lock:
-            threads, self._threads = self._threads, None
-            processes, self._processes = self._processes, None
-        if threads is not None:
-            threads.shutdown(wait=wait, cancel_futures=True)
-        if processes is not None:
-            processes.close(wait=wait)
-
-
 _shared_lock = threading.Lock()
 _shared_backend: ProcessScanBackend | None = None
 
 
 def shared_process_backend() -> ProcessScanBackend:
     """Process-wide fallback pool for engines without an owner stack
-    (mirrors :func:`repro.physical.parallel_scan.shared_scan_executor`)."""
+    (databases and query services own theirs)."""
     global _shared_backend
     with _shared_lock:
         if _shared_backend is None:
-            _shared_backend = ProcessScanBackend(
-                max_workers=min(4, os.cpu_count() or 1))
+            _shared_backend = ProcessScanBackend()
         return _shared_backend
 
 
@@ -264,8 +222,8 @@ def run_process_scan(backend: ProcessScanBackend, doc: Document,
 
     ``results`` arrives pre-seeded with the coordinator-matched ``#root``
     NoKs; this function extends it with the decoded worker matches in
-    partition order and folds every partition's counters back, mirroring
-    the thread backend's ``finally`` semantics exactly.
+    partition order and folds every partition's counters back, aborted
+    partitions included, like the serial operator's ``finally``.
     """
     path = arena_file_for(doc)
     blob = pickle.dumps(scannable, protocol=pickle.HIGHEST_PROTOCOL)
@@ -346,7 +304,7 @@ def run_process_scan(backend: ProcessScanBackend, doc: Document,
             raise first_error
     finally:
         # Fold every partition's work into the shared totals — aborted
-        # partitions included, exactly like the thread backend.
+        # partitions included, exactly like the serial merged scan.
         for index in range(n_parts):
             payload = payloads[index]
             if payload is None:
@@ -491,8 +449,8 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                          want_per_nok: bool) -> tuple:
     """One partition's merged-scan dispatch loop, worker-side.
 
-    Mirrors the thread backend's ``run_partition`` over the arena
-    columns: every slot in range charges ``nodes_scanned``, elements are
+    The serial merged scan's loop over the arena columns: every slot in
+    range charges ``nodes_scanned``, elements are
     dispatched to their candidate NoKs by tag id, and
     :func:`~repro.physical.nok.match_subtree` does the (identical)
     recursive matching on lazily-materialized node views.  Shared-state

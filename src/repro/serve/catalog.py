@@ -35,9 +35,7 @@ from repro.errors import UsageError
 from repro.obs.metrics import REGISTRY
 from repro.obs.statstore import StatsStore
 from repro.serve.snapshot import Snapshot, SnapshotUpdater
-from repro.xmlkit.index import TagIndex
 from repro.xmlkit.parser import parse
-from repro.xmlkit.summary import StructuralSummary
 from repro.xmlkit.stats import compute_stats
 from repro.xmlkit.tree import Document
 from repro.xmlkit.update import UpdateReport
@@ -59,7 +57,7 @@ class _Entry:
     """Per-document state; all fields guarded by the catalog lock."""
 
     __slots__ = ("name", "current", "pins", "dropped", "plan_cache",
-                 "engines", "tag_indexes", "stats_store", "summaries")
+                 "engines", "stats_store")
 
     def __init__(self, name: str, snapshot: Snapshot,
                  plan_cache_capacity: int) -> None:
@@ -75,19 +73,11 @@ class _Entry:
         #: actuals (and feedback decisions) survive snapshot churn —
         #: entries are keyed by fingerprint, so versions never mix.
         self.stats_store = StatsStore()
-        #: snapshot_id -> Engine bound to that version.
+        #: snapshot_id -> Engine bound to that version.  The engine
+        #: holds the version's one TagIndex and structural summary;
+        #: snapshots are immutable, so neither needs invalidation, and
+        #: both are dropped with the engine when the snapshot retires.
         self.engines: dict[int, Engine] = {}
-        #: snapshot_id -> the version's one TagIndex.  Snapshots are
-        #: immutable, so the index never needs invalidation — it is
-        #: built at most once per version and dropped with it.  Cached
-        #: here (not only on the engine) so cost-model and twigstack
-        #: paths share the materialized lists however the engine is
-        #: (re)created.
-        self.tag_indexes: dict[int, TagIndex] = {}
-        #: snapshot_id -> the version's structural summary (query-lint
-        #: oracle).  Cached like the tag index: snapshots are immutable,
-        #: so it is built at most once per version and dropped with it.
-        self.summaries: dict[int, StructuralSummary] = {}
 
 
 class Catalog:
@@ -197,19 +187,10 @@ class Catalog:
                                 analyze_queries=self.analyze_queries)
                 engine._stats = snapshot.stats
                 engine.plan_gate = self._make_gate(entry)
-                index = entry.tag_indexes.get(sid)
-                if index is None:
-                    index = entry.tag_indexes[sid] = engine.index
-                else:
-                    engine.index = index
-                summary = entry.summaries.get(sid)
                 if self.analyze_queries:
-                    # Share one summary per immutable snapshot however
-                    # the engine is (re)created, like the tag index.
-                    if summary is None:
-                        summary = entry.summaries[sid] = engine.summary
-                    else:
-                        engine._summary = summary
+                    # Build the query-lint summary here, off the first
+                    # query's critical path.
+                    _ = engine.summary
                 entry.engines[sid] = engine
             return engine
 
@@ -346,8 +327,6 @@ class Catalog:
         sid = snapshot.snapshot_id
         entry.dropped.add(sid)
         entry.engines.pop(sid, None)
-        entry.tag_indexes.pop(sid, None)
-        entry.summaries.pop(sid, None)
         _RETIRES.inc()
         _LIVE.set(self._live_count())
         return snapshot

@@ -13,8 +13,9 @@ Request types (client → server)
         ``executor``) — the exact spelling of
         :meth:`QueryService.submit <repro.serve.service.QueryService.submit>`.
         ``executor`` travels as the canonical backend key string
-        (``"serial"`` / ``"threads:4"`` / ``"processes:4"``, see
-        :class:`~repro.engine.backend.ExecutionBackend`).  The
+        (``"serial"`` / ``"processes:4"``, see
+        :class:`~repro.engine.backend.ExecutionBackend`; the removed
+        ``"threads"`` keys still parse, to serial, for one release).  The
         pre-redesign ``parallelism`` integer field had its one-release
         acceptance window and is now ignored.
     ``prepare`` / ``execute``

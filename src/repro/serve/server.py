@@ -89,7 +89,10 @@ def _frame_executor(frame: dict[str, Any]) -> str | None:
     """Resolve a frame's execution-backend spec.
 
     v1 frames carry ``executor`` as the canonical backend key string
-    (``"serial"`` / ``"threads:4"`` / ``"processes:4"``).  The legacy
+    (``"serial"`` / ``"processes:4"``); a ``"threads"`` key from an
+    older client runs serially with a :class:`DeprecationWarning` (see
+    :meth:`ExecutionBackend.from_key
+    <repro.engine.backend.ExecutionBackend.from_key>`).  The legacy
     ``parallelism`` integer field served its one-release deprecation
     window and is no longer mapped — pre-redesign clients must send
     ``executor`` keys.

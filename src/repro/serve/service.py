@@ -239,16 +239,11 @@ class QueryService:
         self._inflight_count = 0
         self._inflight: dict[tuple, Future] = {}
         self._closed = False
-        #: Lazily created pool for intra-query partition scans.  It is
-        #: distinct from the serve workers on purpose: scheduling
-        #: partition tasks onto the bounded request pool could deadlock
-        #: (every worker blocked waiting for partitions no worker is
-        #: free to run).
-        from repro.physical.process_scan import ScanPools
+        #: Lazily spawned process pool for intra-query partition scans,
+        #: distinct from the serve workers.
+        from repro.physical.process_scan import ProcessScanBackend
 
-        self._scan_pools = ScanPools(
-            thread_workers=max(2, workers),
-            thread_name_prefix="repro-scan")
+        self._process_backend = ProcessScanBackend()
 
         #: Policy/storage result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
@@ -292,9 +287,9 @@ class QueryService:
         An identical un-parameterized, un-traced request already queued
         or executing is *coalesced*: the same future is returned and the
         query runs once.  ``executor`` selects the intra-query execution
-        backend (see :meth:`Engine.query`); partition scans run on scan
-        pools the service owns, separate from the serve workers, so
-        parallel queries never deadlock against admission control.
+        backend (see :meth:`Engine.query`); partition scans run on a
+        process pool the service owns, separate from the serve workers,
+        so parallel queries never deadlock against admission control.
         ``client`` is an opaque caller identity (the network server
         passes connection#request ids) that tags slow-query records.
         Raises :class:`~repro.errors.ServiceOverloadedError` when the
@@ -397,11 +392,11 @@ class QueryService:
                     QueryCancelledError("service closed before execution"))
         for thread in self._workers:
             thread.join()
-        # Deterministic cleanup: drain and stop the service-owned scan
-        # executors (thread and process pools).  Arena files of retired
-        # snapshots were already released by the catalog's retire hook;
-        # live snapshots release theirs when the catalog drops them.
-        self._scan_pools.close(wait=True)
+        # Deterministic cleanup: drain and stop the service-owned process
+        # pool.  Arena files of retired snapshots were already released
+        # by the catalog's retire hook; live snapshots release theirs
+        # when the catalog drops them.
+        self._process_backend.close(wait=True)
 
     @property
     def closed(self) -> bool:
@@ -669,10 +664,7 @@ class QueryService:
                         return ServeResult(cached, snapshot, wait_ms, run_ms,
                                            attempts, cached=True)
                 engine = self.catalog.engine_for(snapshot)
-                if request.executor.parallelism > 1:
-                    engine.scan_executor = self._scan_pools.thread_pool()
-                    engine.process_executor = \
-                        self._scan_pools.process_backend()
+                engine.process_executor = self._process_backend
                 try:
                     result = engine.query(
                         request.text, strategy=request.strategy,

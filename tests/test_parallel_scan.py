@@ -1,5 +1,8 @@
 """Partition-parallel merged scans: partitioning, bit-identity, edges.
 
+The parallel operator runs its partitions on the shared process pool
+(:mod:`repro.physical.process_scan`) unless a caller passes its own.
+
 The differential tests here are the PR's acceptance gate: for every
 generated document (including skewed single-subtree shapes) and every
 query, the parallel operator's per-NoK match lists must equal the
@@ -195,9 +198,9 @@ class TestDifferentialBitIdentity:
         assert counters.budget_trips >= 1
         # Overshoot is bounded by partitions x stride, not by
         # partitions x budget as under the old semantics.
-        from repro.physical.parallel_scan import _BUDGET_STRIDE
+        from repro.physical.process_scan import _STRIDE
 
-        assert counters.nodes_scanned <= budget + len(parts) * _BUDGET_STRIDE
+        assert counters.nodes_scanned <= budget + len(parts) * _STRIDE
 
 
 class TestMergedScanEdges:
@@ -261,13 +264,13 @@ class TestEngineParallelStrategy:
         engine = self.make_engine(wide_doc(600))
         serial = engine.query("//book[price > 10]/title").items
         parallel = engine.query("//book[price > 10]/title",
-                                executor="threads:4").items
+                                executor="processes:4").items
         assert "parallel" in engine.last_plan
         assert [n.nid for n in serial] == [n.nid for n in parallel]
 
     def test_auto_stays_serial_below_threshold(self):
         engine = self.make_engine(wide_doc(20))
-        engine.query("//book", executor="threads:4")
+        engine.query("//book", executor="processes:4")
         assert "parallel" not in engine.last_plan
 
     def test_explicit_parallel_strategy(self):
@@ -278,7 +281,7 @@ class TestEngineParallelStrategy:
 
     def test_auto_withdraws_for_partition_unsafe_plan(self):
         engine = self.make_engine(wide_doc(600))
-        engine.query("/bib/shelf", executor="threads:4")
+        engine.query("/bib/shelf", executor="processes:4")
         assert "withdrawn" in engine.last_plan
         assert "PL004" in engine.last_plan
 
@@ -292,15 +295,15 @@ class TestEngineParallelStrategy:
         engine = self.make_engine(wide_doc(600))
         engine.query("//book")
         engine.query("//book")
-        engine.query("//book", executor="threads:4")  # distinct key: a miss
-        engine.query("//book", executor="threads:4")  # now a hit
+        engine.query("//book", executor="processes:4")  # distinct key: a miss
+        engine.query("//book", executor="processes:4")  # now a hit
         stats = engine.plan_cache.stats()
         assert stats["size"] >= 2
 
     def test_prepared_query_pins_executor(self):
         engine = self.make_engine(wide_doc(600))
-        prepared = engine.prepare("//book", executor="threads:4")
-        assert prepared.executor.key == "threads:4"
+        prepared = engine.prepare("//book", executor="processes:4")
+        assert prepared.executor.key == "processes:4"
         assert prepared.parallelism == 4
         parallel = prepared.execute().items
         assert "parallel" in engine.last_plan
@@ -320,12 +323,12 @@ class TestEngineParallelStrategy:
     def test_skewed_document_through_the_engine(self):
         engine = self.make_engine(skewed_doc(900))
         serial = engine.query("//item/name").items
-        parallel = engine.query("//item/name", executor="threads:4").items
+        parallel = engine.query("//item/name", executor="processes:4").items
         assert "parallel" in engine.last_plan
         assert [n.nid for n in serial] == [n.nid for n in parallel]
 
     def test_partition_spans_in_trace(self):
         engine = self.make_engine(wide_doc(600))
-        result = engine.query("//book", executor="threads:4", trace=True)
+        result = engine.query("//book", executor="processes:4", trace=True)
         names = [span.name for _, span in result.trace.walk()]
         assert "partition-scan" in names

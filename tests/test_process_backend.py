@@ -1,5 +1,5 @@
-"""The process execution backend: differential bit-identity across all
-three backends, cancellation, crash containment, resource lifecycle.
+"""The process execution backend: differential bit-identity against the
+serial scan, cancellation, crash containment, resource lifecycle.
 
 ``executor="processes"`` replays the merged-scan dispatch loop in worker
 processes over the mmap-shared arena (:mod:`repro.xmlkit.arena`), so
@@ -7,7 +7,7 @@ every test here is ultimately a Theorem-1 claim: partition-order
 concatenation of per-process match lists must reproduce the serial
 object-tree scan bit for bit — across every datagen workload, skewed
 shapes included — and failure modes (deadline, budget, a dying worker)
-must surface as the same clean errors the thread backend raises.
+must surface as the same clean errors the serial scan raises.
 """
 
 import multiprocessing
@@ -22,7 +22,7 @@ from repro.pattern import build_from_path, decompose
 from repro.physical import process_scan
 from repro.physical.nok_merge import merged_scan
 from repro.physical.parallel_scan import parallel_merged_scan
-from repro.physical.process_scan import ProcessScanBackend, ScanPools
+from repro.physical.process_scan import ProcessScanBackend
 from repro.xmlkit import parse
 from repro.xmlkit.partition import partition_document
 from repro.xmlkit.storage import CancellationToken, ScanCounters
@@ -57,16 +57,11 @@ def backend():
     pool.close(wait=True)
 
 
-def scan_with(doc, path_text, *, backend=None, k=4,
+def scan_with(doc, path_text, *, backend, k=4,
               counters=None, per_nok=None):
-    if backend is None:
-        return parallel_merged_scan(noks_for(path_text), doc,
-                                    counters, per_nok,
-                                    partitions=fine_partitions(doc, k))
     return parallel_merged_scan(noks_for(path_text), doc,
                                 counters, per_nok,
                                 partitions=fine_partitions(doc, k),
-                                backend="processes",
                                 process_backend=backend)
 
 
@@ -76,7 +71,7 @@ OPERATOR_QUERIES = ["//book", "//book/author", "//shelf//title",
 
 
 class TestOperatorBitIdentity:
-    """Process output == thread output == serial output, per match list."""
+    """Process output == serial output, per match list."""
 
     @pytest.mark.parametrize("path_text", OPERATOR_QUERIES)
     def test_wide_document(self, backend, path_text):
@@ -93,11 +88,9 @@ class TestOperatorBitIdentity:
     def assert_identical(self, backend, doc, path_text):
         noks = noks_for(path_text)
         serial = merged_scan(noks, doc)
-        threaded = scan_with(doc, path_text)
         processed = scan_with(doc, path_text, backend=backend)
         for nok_id, entries in serial.items():
             want = [e.node.nid for e in entries]
-            assert [e.node.nid for e in threaded[nok_id]] == want
             assert [e.node.nid for e in processed[nok_id]] == want
 
     def test_counters_are_bit_identical_too(self, backend):
@@ -121,28 +114,29 @@ class TestOperatorBitIdentity:
 
 
 class TestWorkloadDifferential:
-    """Every datagen workload query under all three backends, end to
-    end through the engine (plan choice, scan, FLWOR pipeline,
-    serialization)."""
+    """Every datagen workload query down three execution paths — serial,
+    the process backend under ``auto``, and the process backend with
+    the ``parallel`` strategy forced — end to end through the engine
+    (plan choice, scan, FLWOR pipeline, serialization)."""
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_three_backends_serialize_identically(self, name):
         dataset = DATASETS[name]
         doc = dataset.generate(scale=0.1)
-        pools = ScanPools(thread_workers=2, process_workers=2)
+        pool = ProcessScanBackend(max_workers=2)
         try:
             for spec in dataset.queries:
                 engine = Engine(doc)
-                engine.scan_executor = pools.thread_pool()
-                engine.process_executor = pools.process_backend()
+                engine.process_executor = pool
                 serial = engine.query(spec.text).serialize()
-                threads = engine.query(
-                    spec.text, executor="threads:2").serialize()
                 processes = engine.query(
                     spec.text, executor="processes:2").serialize()
-                assert serial == threads == processes, (name, spec.text)
+                forced = engine.query(
+                    spec.text, strategy="parallel",
+                    executor="processes:2").serialize()
+                assert serial == processes == forced, (name, spec.text)
         finally:
-            pools.close(wait=True)
+            pool.close(wait=True)
 
 
 class TestCancellationAndBudget:
@@ -172,8 +166,7 @@ class TestCancellationAndBudget:
         counters = ScanCounters(budget=budget)
         with pytest.raises(DNFError):
             parallel_merged_scan(noks_for("//book"), doc, counters,
-                                 partitions=parts, backend="processes",
-                                 process_backend=backend)
+                                 partitions=parts, process_backend=backend)
         assert counters.budget_trips >= 1
         assert counters.nodes_scanned <= budget + len(parts) * 256
 
@@ -230,7 +223,8 @@ class TestResourceLifecycle:
         for _ in range(50):
             with repro.connect(xml) as db:
                 db.query("//book/title")
-                db.query("//book/title", executor="threads:2")
+                db.query("//book/title", strategy="parallel",
+                         executor="processes:2")
         assert children() <= procs_before
         assert open_fds() <= fd_before + 4     # allowance for test noise
 
@@ -244,8 +238,27 @@ class TestResourceLifecycle:
         db.close()
         assert not os.path.exists(path)
 
-    def test_scan_pools_close_is_idempotent(self):
-        pools = ScanPools()
-        pools.thread_pool()
-        pools.close(wait=True)
-        pools.close(wait=True)
+    def test_backend_close_is_idempotent(self):
+        pool = ProcessScanBackend()
+        pool.close(wait=True)
+        pool.close(wait=True)
+
+
+class TestInPlaceUpdate:
+    def test_process_backend_sees_in_place_updates(self):
+        """The arena file is cached on the document; an in-place update
+        must release it so the next process scan re-serializes the
+        mutated tree instead of scanning the stale image."""
+        import repro
+
+        xml = "<bib>" + "".join(f"<book><t>x{i}</t></book>"
+                                for i in range(3000)) + "</bib>"
+        with repro.connect(xml) as db:
+            assert len(db.query("//book/t", executor="processes:2")) == 3000
+            db.updater().insert_subtree(
+                db.doc.root, parse("<book><t>new</t></book>").root)
+            serial = db.query("//book/t")
+            processes = db.query("//book/t", executor="processes:2")
+            assert "partition-parallel" in db.engine.last_plan
+            assert len(serial) == 3001
+            assert processes.serialize() == serial.serialize()

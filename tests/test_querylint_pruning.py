@@ -55,7 +55,7 @@ class TestHandWrittenRewrites:
 
     @pytest.mark.parametrize("text", REWRITTEN_QUERIES)
     def test_parallel(self, small_bib, text):
-        differential(small_bib, text, executor="threads:2")
+        differential(small_bib, text, executor="processes:2")
 
     def test_rewrites_actually_fired(self, small_bib):
         # The suite is vacuous if nothing was rewritten: assert the
@@ -88,7 +88,7 @@ class TestWorkloadDifferential:
         dataset = DATASETS[name]
         doc = dataset.generate(scale=0.1)
         for spec in dataset.queries:
-            differential(doc, spec.text, executor="threads:2")
+            differential(doc, spec.text, executor="processes:2")
 
     def test_small_scale_rewrites_fire(self):
         # d1 Q1 targets the ~1% label b4: absent at scale 0.02.

@@ -495,7 +495,7 @@ class TestParallelismAndIndexLifecycle:
     def test_parallel_request_bit_identical_to_serial(self):
         with QueryService(big_library(), workers=2) as service:
             serial = service.query("//book/title")
-            parallel = service.query("//book/title", executor="threads:4")
+            parallel = service.query("//book/title", executor="processes:4")
         assert serial.snapshot_id == parallel.snapshot_id
         assert [n.nid for n in serial.items] == \
             [n.nid for n in parallel.items]
@@ -503,8 +503,8 @@ class TestParallelismAndIndexLifecycle:
     def test_result_cache_key_separates_executor(self):
         with make_service(workers=1) as service:
             serial = service.query("//book/title")
-            parallel = service.query("//book/title", executor="threads:4")
-            again = service.query("//book/title", executor="threads:4")
+            parallel = service.query("//book/title", executor="processes:4")
+            again = service.query("//book/title", executor="processes:4")
         assert not serial.cached
         # A serially-computed cached result must not answer a request
         # asking for a different execution backend: the keys differ.
@@ -517,7 +517,7 @@ class TestParallelismAndIndexLifecycle:
         with QueryService(big_library(), workers=2) as service:
             plain, parallel = service.query_batch([
                 {"text": "//book/author"},
-                {"text": "//book/author", "executor": "threads:4"},
+                {"text": "//book/author", "executor": "processes:4"},
             ])
         assert [n.nid for n in plain.items] == \
             [n.nid for n in parallel.items]

@@ -112,7 +112,7 @@ def test_concurrent_readers_match_serial_replay_exactly():
             try:
                 served = service.query(
                     text, timeout_ms=30_000,
-                    executor=f"threads:{STRESS_PARALLELISM}"
+                    executor=f"processes:{STRESS_PARALLELISM}"
                     if STRESS_PARALLELISM > 1 else None)
                 # Differential check: replay serially on the *pinned*
                 # snapshot the service claims it used.  Snapshots are

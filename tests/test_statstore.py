@@ -90,11 +90,11 @@ class TestStatsStore:
     def test_keys_separate_strategy_and_executor(self):
         store = StatsStore()
         store.record("q", "pipelined", FP, "serial", elapsed_ms=1.0)
-        store.record("q", "parallel", FP, "threads:4", elapsed_ms=2.0)
-        store.record("q", "pipelined", FP, "threads:4", elapsed_ms=3.0)
+        store.record("q", "parallel", FP, "processes:4", elapsed_ms=2.0)
+        store.record("q", "pipelined", FP, "processes:4", elapsed_ms=3.0)
         assert len(store) == 3
         assert store.get("q", "pipelined", FP, "serial").mean_ms == pytest.approx(1.0)
-        arms = store.arms("q", FP, "threads:4")
+        arms = store.arms("q", FP, "processes:4")
         assert set(arms) == {"parallel", "pipelined"}
 
     def test_lru_eviction_bounds_the_store(self):
@@ -255,7 +255,7 @@ class TestHistogramQuantile:
 class TestStrategyAdvisor:
     STATIC = PlanChoice("parallel", "static rules")
 
-    def advise(self, store, text="q", executor="threads:4"):
+    def advise(self, store, text="q", executor="processes:4"):
         return StrategyAdvisor(store).advise(text, FP, executor,
                                              self.STATIC, "pipelined")
 
@@ -265,7 +265,7 @@ class TestStrategyAdvisor:
     def test_probes_alternative_after_static_is_measured(self):
         store = StatsStore()
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=5.0)
+            store.record("q", "parallel", FP, "processes:4", elapsed_ms=5.0)
         choice = self.advise(store)
         assert choice.strategy == "pipelined"
         assert "probe" in choice.reason
@@ -273,18 +273,18 @@ class TestStrategyAdvisor:
     def test_settles_on_static_when_it_wins(self):
         store = StatsStore()
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=1.0)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=5.0)
+            store.record("q", "parallel", FP, "processes:4", elapsed_ms=1.0)
+            store.record("q", "pipelined", FP, "processes:4", elapsed_ms=5.0)
         choice = self.advise(store)
         assert choice.strategy == "parallel"
-        assert store.settled_strategy("q", FP, "threads:4") == "parallel"
+        assert store.settled_strategy("q", FP, "processes:4") == "parallel"
         assert store.demotions == []          # confirming is not a demotion
 
     def test_demotes_static_when_alternative_wins(self):
         store = StatsStore()
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=26.3)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=25.3)
+            store.record("q", "parallel", FP, "processes:4", elapsed_ms=26.3)
+            store.record("q", "pipelined", FP, "processes:4", elapsed_ms=25.3)
         choice = self.advise(store)
         assert choice.strategy == "pipelined"
         [demotion] = store.demotions
@@ -294,22 +294,22 @@ class TestStrategyAdvisor:
     def test_demote_margin_is_hysteresis_not_a_coin_flip(self):
         store = StatsStore()
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=1.0)
+            store.record("q", "parallel", FP, "processes:4", elapsed_ms=1.0)
             # faster, but within the margin: not worth flapping over
-            store.record("q", "pipelined", FP, "threads:4",
+            store.record("q", "pipelined", FP, "processes:4",
                          elapsed_ms=1.0 / DEMOTE_MARGIN * 1.001)
         assert self.advise(store).strategy == "parallel"
 
     def test_settled_decision_holds_then_flips_on_degradation(self):
         store = StatsStore()
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            store.record("q", "parallel", FP, "threads:4", elapsed_ms=26.3)
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=25.3)
+            store.record("q", "parallel", FP, "processes:4", elapsed_ms=26.3)
+            store.record("q", "pipelined", FP, "processes:4", elapsed_ms=25.3)
         assert self.advise(store).strategy == "pipelined"   # settles
         assert self.advise(store).strategy == "pipelined"   # holds
         # The settled arm degrades far past the re-promotion margin...
         for _ in range(20):
-            store.record("q", "pipelined", FP, "threads:4", elapsed_ms=200.0)
+            store.record("q", "pipelined", FP, "processes:4", elapsed_ms=200.0)
         choice = self.advise(store)
         assert choice.strategy == "parallel"                # ...and flips
         assert "flip" in choice.reason
@@ -402,14 +402,14 @@ class TestParallelDemotionRegression:
         # Seed the two measured arms with BENCH_PR5's shape: the
         # parallel upgrade costs ~4% over the serial merged scan.
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            engine.stats_store.record(norm, "parallel", fp, "threads:4",
+            engine.stats_store.record(norm, "parallel", fp, "processes:4",
                                       elapsed_ms=26.3)
-            engine.stats_store.record(norm, "pipelined", fp, "threads:4",
+            engine.stats_store.record(norm, "pipelined", fp, "processes:4",
                                       elapsed_ms=25.3)
-        result = engine.query(text, executor="threads:4")
+        result = engine.query(text, executor="processes:4")
         assert len(result) == 2500
         assert engine._last_strategy == "pipelined"
-        assert engine.stats_store.settled_strategy(norm, fp, "threads:4") == "pipelined"
+        assert engine.stats_store.settled_strategy(norm, fp, "processes:4") == "pipelined"
         [demotion] = engine.stats_store.demotions
         assert demotion.from_strategy == "parallel"
         assert demotion.to_strategy == "pipelined"
@@ -422,15 +422,15 @@ class TestParallelDemotionRegression:
         text = "//item/val"
         norm = normalize_query_text(text)
         fp = engine.stats_fingerprint()
-        engine.query(text, executor="threads:4")     # caches the parallel plan
+        engine.query(text, executor="processes:4")     # caches the parallel plan
         assert engine._last_strategy == "parallel"
         engine.stats_store.clear()            # seed a clean measured history
         for _ in range(MIN_FEEDBACK_SAMPLES):
-            engine.stats_store.record(norm, "parallel", fp, "threads:4",
+            engine.stats_store.record(norm, "parallel", fp, "processes:4",
                                       elapsed_ms=26.3)
-            engine.stats_store.record(norm, "pipelined", fp, "threads:4",
+            engine.stats_store.record(norm, "pipelined", fp, "processes:4",
                                       elapsed_ms=25.3)
-        engine.query(text, executor="threads:4")     # hit -> advised -> recost
+        engine.query(text, executor="processes:4")     # hit -> advised -> recost
         assert engine._last_strategy == "pipelined"
         assert engine.stats_store.demotions
 

@@ -103,12 +103,14 @@ class TestSnapshotInvalidation:
     def test_retire_drops_cached_summary(self):
         catalog = Catalog()
         snap = catalog.register("lib", SMALL_BIB)
-        catalog.engine_for(snap)       # populates the summary cache
+        engine = catalog.engine_for(snap)
+        assert engine._summary is not None     # built eagerly
         entry = catalog._entries["lib"]
-        assert snap.snapshot_id in entry.summaries
+        assert entry.engines[snap.snapshot_id] is engine
 
         with catalog.updater("lib") as up:
             up.insert_subtree(up.doc.root, parse("<x/>").root)
 
-        # The base snapshot is unpinned: retired on publish.
-        assert snap.snapshot_id not in entry.summaries
+        # The base snapshot is unpinned: retired on publish, and its
+        # engine — the only holder of the summary — dropped with it.
+        assert snap.snapshot_id not in entry.engines
