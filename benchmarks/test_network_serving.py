@@ -23,12 +23,12 @@ runs; the recorded JSON notes which mode produced it.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from pathlib import Path
 
+from repro.bench.recording import merge_json
 from repro.errors import ReproError, ServiceOverloadedError
 from repro.serve import client as client_mod
 from repro.serve.server import Server
@@ -70,20 +70,6 @@ def build_corpus(shelves: int = 20, books: int = 40) -> Document:
         builder.end_element()
     builder.end_element()
     return builder.finish()
-
-
-def merge_bench(update: dict) -> None:
-    """Read-modify-write ``BENCH_PR7.json`` so the modes coexist."""
-    payload: dict = {}
-    if BENCH_PR7_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PR7_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    payload["quick_mode"] = QUICK
-    BENCH_PR7_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
 
 
 def quantile(sorted_values: list[float], q: float) -> float:
@@ -215,7 +201,7 @@ def test_closed_loop_throughput():
     summary = stats.summary()
     total = CLIENTS * CLOSED_REQUESTS
     qps = summary["served"] / elapsed
-    merge_bench({"closed_loop": {
+    merge_json(BENCH_PR7_PATH, {"quick_mode": QUICK, "closed_loop": {
         "clients": CLIENTS, "requests": total, "qps": round(qps, 1),
         **summary, "admission": admission,
     }})
@@ -253,7 +239,7 @@ def test_open_loop_overload_sheds_and_bounds_p99():
         service.close()
 
     summary = stats.summary()
-    merge_bench({"open_loop_overload": {
+    merge_json(BENCH_PR7_PATH, {"quick_mode": QUICK, "open_loop_overload": {
         "requests": OPEN_REQUESTS,
         "offered_qps": round(rate, 1),
         "achieved_qps": round(summary["served"] / elapsed, 1),

@@ -14,11 +14,11 @@ Two claims, recorded to ``BENCH_PR8.json``:
 from __future__ import annotations
 
 import gc
-import json
 import statistics
 import time
 from pathlib import Path
 
+from repro.bench.recording import merge_json
 from repro.datagen.workload import DATASETS
 from repro.engine import Engine
 from repro.serve.service import QueryService
@@ -36,19 +36,6 @@ BIB = """
 
 FAST_PATH_SAMPLES = 200
 COMPILE_ROUNDS = 5
-
-
-def merge_bench(update: dict) -> None:
-    """Read-modify-write ``BENCH_PR8.json`` so sections coexist."""
-    payload: dict = {}
-    if BENCH_PR8_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PR8_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    BENCH_PR8_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
 
 
 class TestStaticEmptyFastPath:
@@ -78,7 +65,7 @@ class TestStaticEmptyFastPath:
             # The acceptance bound: answered in <1ms, no worker slot.
             assert median_ms < 1.0, f"fast path median {median_ms:.3f}ms"
 
-            merge_bench({"static_empty_fast_path": {
+            merge_json(BENCH_PR8_PATH, {"static_empty_fast_path": {
                 "samples": FAST_PATH_SAMPLES,
                 "median_ms": round(median_ms, 4),
                 "p99_ms": round(p99_ms, 4),
@@ -161,7 +148,7 @@ class TestCleanQueryCompileOverhead:
         pcts = sorted((on - off) / off * 100.0
                       for on, off in zip(block_on, block_off))
         overhead_pct = statistics.median(pcts)
-        merge_bench({"clean_query_compile_overhead": {
+        merge_json(BENCH_PR8_PATH, {"clean_query_compile_overhead": {
             "corpus": "datagen workloads @ scale 0.1",
             "blocks": self.BLOCKS,
             "passes_per_block": self.PASSES_PER_BLOCK,

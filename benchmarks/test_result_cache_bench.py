@@ -1,18 +1,18 @@
-"""Result-cache policy benchmark: hit / bypass / churn QPS.
+"""Result-cache benchmark: hit / bypass / churn QPS.
 
-The PR-10 acceptance benchmark for the byte-accounted TTL cache
+The PR-10 acceptance benchmark for the byte-budgeted LRU result cache
 (:mod:`repro.serve.cachepolicy`).  Three phases over one corpus:
 
 * **hit-path** — a small repeated query mix against an ample byte
   budget: after warmup every request is a cache hit, so the measured
-  QPS prices the storage's lookup path (lock, TTL check, LRU bump)
+  QPS prices the storage's lookup path (lock, dict probe, LRU bump)
   plus service dispatch — the replacement must not give back PR 4's
   headline cache win;
 * **bypass** — unique parameter bindings per request, so nothing is
   cacheable and every request executes.  This is the honest execution
   number; it is compared against the recorded ``BENCH_PR4.json``
   ``unique_params_mode`` baseline (concurrent/serial speedup 0.76x on
-  the reference box) to prove the policy/storage split costs the
+  the reference box) to prove the byte-accounted storage costs the
   uncached path nothing;
 * **byte-pressure churn** — the same repeated mix squeezed through a
   budget smaller than the working set: admissions and LRU-by-bytes
@@ -34,6 +34,7 @@ import time
 from concurrent.futures import wait
 from pathlib import Path
 
+from repro.bench.recording import merge_json
 from repro.engine.session import Engine
 from repro.serve import Catalog, QueryService
 
@@ -43,19 +44,6 @@ BENCH_PR10_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
 BENCH_PR4_PATH = BENCH_PR10_PATH.with_name("BENCH_PR4.json")
 WORKERS = 8
 N_REQUESTS = int(os.environ.get("REPRO_CACHE_BENCH_REQUESTS", "600"))
-
-
-def merge_bench(update: dict) -> None:
-    payload: dict = {}
-    if BENCH_PR10_PATH.exists():
-        try:
-            payload = json.loads(
-                BENCH_PR10_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    BENCH_PR10_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                               encoding="utf-8")
 
 
 def pr4_unique_params_baseline() -> dict | None:
@@ -97,7 +85,7 @@ def test_hit_path_qps_and_storage_overhead():
 
     hits = sum(1 for r in results if r.cached)
     qps = len(stream) / elapsed
-    merge_bench({
+    merge_json(BENCH_PR10_PATH, {
         "benchmark": "result_cache_policy",
         "workers": WORKERS,
         "n_nodes": len(doc.nodes),
@@ -107,7 +95,6 @@ def test_hit_path_qps_and_storage_overhead():
             "cached_fraction": round(hits / len(results), 4),
             "storage_bytes": stats["bytes"],
             "lifetime_hit_ratio": stats["hit_ratio"],
-            "window_hit_ratio": stats["window"]["hit_ratio"],
         },
     })
     # Coalescing can answer a burst before its entry lands, so not
@@ -147,7 +134,7 @@ def test_bypass_qps_matches_pr4_baseline():
     speedup = concurrent_qps / serial_qps
     baseline = pr4_unique_params_baseline()
     run_ms = sorted(r.run_ms for r in results)
-    merge_bench({"bypass": {
+    merge_json(BENCH_PR10_PATH, {"bypass": {
         "query": text,
         "n_requests": n_requests,
         "serial_qps": round(serial_qps, 1),
@@ -200,7 +187,7 @@ def test_churn_qps_under_byte_pressure():
 
     qps = len(stream) / elapsed
     hits = sum(1 for r in results if r.cached)
-    merge_bench({"byte_pressure_churn": {
+    merge_json(BENCH_PR10_PATH, {"byte_pressure_churn": {
         "n_requests": len(stream),
         "working_set_bytes": working_set,
         "budget_bytes": budget,

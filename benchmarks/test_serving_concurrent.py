@@ -23,12 +23,12 @@ number sits next to the headline one.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import wait
 from pathlib import Path
 
+from repro.bench.recording import merge_json
 from repro.engine.session import Engine
 from repro.serve import Catalog, QueryService
 from repro.xmlkit.tree import Document, DocumentBuilder
@@ -68,19 +68,6 @@ def build_corpus(shelves: int = 40, books: int = 50) -> Document:
 
 def request_stream(n: int) -> list[str]:
     return [QUERY_MIX[i % len(QUERY_MIX)] for i in range(n)]
-
-
-def merge_bench(update: dict) -> None:
-    """Read-modify-write ``BENCH_PR4.json`` so the two modes coexist."""
-    payload: dict = {}
-    if BENCH_PR4_PATH.exists():
-        try:
-            payload = json.loads(BENCH_PR4_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    BENCH_PR4_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
 
 
 def quantile(sorted_values: list[float], q: float) -> float:
@@ -125,7 +112,7 @@ def test_concurrent_service_beats_serial_by_2x():
     assert served_checksum == serial_checksum
 
     speedup = concurrent_qps / serial_qps
-    merge_bench({
+    merge_json(BENCH_PR4_PATH, {
         "benchmark": "serving_concurrent_read_heavy",
         "workers": WORKERS,
         "n_requests": len(stream),
@@ -188,7 +175,7 @@ def test_unique_params_mode_reports_honest_execution_qps():
 
     run_ms = sorted(r.run_ms for r in results)
     total_ms = sorted(r.wait_ms + r.run_ms for r in results)
-    merge_bench({"unique_params_mode": {
+    merge_json(BENCH_PR4_PATH, {"unique_params_mode": {
         "query": text,
         "n_requests": n_requests,
         "workers": WORKERS,

@@ -4,7 +4,9 @@ The harness appends one record per :func:`~repro.bench.harness.run_cell`
 execution; the benchmark suite's ``pytest_sessionfinish`` hook dumps
 everything to ``BENCH_PR1.json`` so a CI run leaves behind a queryable
 artifact (query text, strategy, wall time, counters snapshot) instead
-of only rendered tables.
+of only rendered tables.  :func:`merge_json` is the read-modify-write
+the serving benchmarks share, so several tests can each contribute
+their own section to one ``BENCH_*.json`` artifact.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["RECORDS", "record_run", "write_json", "clear"]
+__all__ = ["RECORDS", "record_run", "write_json", "merge_json", "clear"]
 
 #: All records accumulated in this process, in execution order.
 RECORDS: list[dict[str, object]] = []
@@ -43,6 +45,24 @@ def write_json(path: str | Path,
     path = Path(path)
     payload = {"meta": meta or {}, "runs": RECORDS}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def merge_json(path: str | Path, update: dict[str, object]) -> Path:
+    """Merge ``update``'s top-level keys into the JSON object at ``path``.
+
+    A missing or unreadable file starts from an empty object, so one
+    test's section never depends on another test having run first.
+    """
+    path = Path(path)
+    payload: dict[str, object] = {}
+    if path.exists():
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            payload = {}
+    payload.update(update)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return path
 
 

@@ -11,10 +11,10 @@ in plan-cache, result-cache and stats-store keys; :attr:`ExecutionBackend.key`
 is its canonical string form (``"serial"``, ``"processes:4"``) and is
 what the v1 wire protocol carries.
 
-The GIL-bound ``threads`` backend is gone.  For one release the string
-keys ``"threads"`` / ``"threads:N"`` still parse — to the serial spec,
-with a :class:`DeprecationWarning` — in :meth:`ExecutionBackend.from_key`,
-the one parser every surface and wire frame goes through.
+The GIL-bound ``threads`` backend is gone, and so are its
+``"threads"`` / ``"threads:N"`` keys: :meth:`ExecutionBackend.from_key`,
+the one parser every surface and wire frame goes through, refuses them
+with a :class:`~repro.errors.ReproError` like any other unknown kind.
 
 This module deliberately imports nothing from the rest of the engine so
 the serving layer can use it without cycles.
@@ -22,7 +22,6 @@ the serving layer can use it without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -73,12 +72,6 @@ class ExecutionBackend:
     def from_key(cls, key: str) -> "ExecutionBackend":
         """Parse the canonical string form back into a spec."""
         kind, sep, count = key.partition(":")
-        if kind == "threads":
-            warnings.warn(
-                f"executor {key!r}: the threads backend was removed; "
-                f"running serially (use 'processes:N' for a parallel "
-                f"scan)", DeprecationWarning, stacklevel=2)
-            return cls()
         if kind == "serial" and not sep:
             return cls()
         if not sep:

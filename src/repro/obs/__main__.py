@@ -110,15 +110,12 @@ def _result_cache_line(cache: dict) -> str:
     """Render the byte-accounted result-cache section of ``stats()``."""
     if not cache.get("enabled", True) and "size" not in cache:
         return "disabled"
-    window = cache.get("window") or {}
     audit = cache.get("audit") or {}
     return (f"{cache.get('size', 0)} entries  "
             f"{cache.get('bytes', 0)}/{cache.get('capacity_bytes', '?')} B  "
             f"hits {cache.get('hits', 0)}  misses {cache.get('misses', 0)}  "
-            f"hit ratio {_ratio_text(cache.get('hit_ratio'))} "
-            f"(window {_ratio_text(window.get('hit_ratio'))})  "
+            f"hit ratio {_ratio_text(cache.get('hit_ratio'))}  "
             f"evictions {cache.get('evictions', 0)}  "
-            f"expirations {cache.get('expirations', 0)}  "
             f"invalidated {cache.get('invalidated', 0)} "
             f"({audit.get('snapshots_invalidated', 0)} snapshots, "
             f"{audit.get('survivors', 0)} audit survivors)")

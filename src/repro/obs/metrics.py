@@ -53,7 +53,6 @@ name                                           type       labels
 ``repro_result_cache_misses_total``            counter    —
 ``repro_result_cache_bytes``                   gauge      —
 ``repro_result_cache_evictions_total``         counter    —
-``repro_result_cache_expirations_total``       counter    —
 ``repro_result_cache_invalidated_total``       counter    —
 ``repro_partition_splits_total``               counter    —
 ``repro_partition_scans_total``                counter    —
@@ -77,8 +76,8 @@ families (``repro_snapshot_*`` / ``repro_service_*`` /
 ``repro_result_cache_*`` plus the timeout and retry counters) are
 registered by :mod:`repro.serve` — the wait/run histograms split a
 served query's latency into queue time and execution time, and the
-result-cache byte/eviction/expiration/invalidation family is owned by
-the policy/storage split in :mod:`repro.serve.cachepolicy`.  The
+result-cache byte/eviction/invalidation family is owned by the
+byte-budgeted storage in :mod:`repro.serve.cachepolicy`.  The
 partition family comes from :mod:`repro.xmlkit.partition` (subtree
 splits of skewed documents) and :mod:`repro.physical.parallel_scan`
 (per-partition scan tasks and single-partition fallbacks to the serial

@@ -61,7 +61,6 @@ from pathlib import Path
 from repro.obs.metrics import REGISTRY, Histogram
 
 __all__ = ["DemotionRecord", "PlanStats", "StatsStore",
-           "RESULT_SIZE_BUCKETS",
            "STATS_RECORDS", "STATS_RECOSTS", "STRATEGY_DEMOTIONS"]
 
 STATS_RECORDS = REGISTRY.counter(
@@ -81,13 +80,6 @@ PLAN_LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
 
 #: Work-counter deltas the store accumulates per plan.
 WORK_COUNTERS = ("nodes_scanned", "comparisons", "intermediate_results")
-
-#: Serialized result-size buckets (bytes) — log-spaced from scalar
-#: aggregates to whole subtrees.  The serving layer records every
-#: cacheable result's byte size here; the adaptive cache policy reads
-#: the distribution back to bound per-entry admission.
-RESULT_SIZE_BUCKETS = (256, 1024, 4096, 16384, 65536, 262144,
-                       1048576, 4194304, 16777216)
 
 
 @dataclass
@@ -234,11 +226,6 @@ class StatsStore:
         #: loop has settled on (the advisor's persistent decision).
         self._settled: dict[tuple, str] = {}
         self.records = 0
-        #: Distribution of serialized result sizes (bytes), fed by the
-        #: serving layer's cache admission path and consumed by
-        #: :class:`repro.serve.cachepolicy.AdaptiveCachePolicy`.
-        self.result_bytes = Histogram("result_bytes",
-                                      buckets=RESULT_SIZE_BUCKETS)
 
     def __len__(self) -> int:
         with self._lock:
@@ -297,15 +284,6 @@ class StatsStore:
             self.records += 1
         STATS_RECORDS.inc()
         return entry
-
-    def record_result_bytes(self, nbytes: int) -> None:
-        """Record one serialized result's byte size.
-
-        The serving layer calls this on every cache-admission decision
-        (hit or miss), building the entry-size distribution the
-        adaptive cache policy sizes its admission bound from.
-        """
-        self.result_bytes.observe(float(nbytes))
 
     # ------------------------------------------------------------------
     # Lookups the feedback loop and re-coster consume.
@@ -449,11 +427,6 @@ class StatsStore:
             "by_strategy": self.strategy_table(),
             "demotions": [d.to_dict() for d in self.demotions],
             "settled": settled,
-            "result_bytes": {
-                "observations": self.result_bytes.count(),
-                "p50": _round_opt(self.result_bytes.quantile(0.50)),
-                "p95": _round_opt(self.result_bytes.quantile(0.95)),
-            },
         }
 
     def to_jsonl(self) -> str:
@@ -476,7 +449,6 @@ class StatsStore:
             self._demotions.clear()
             self._settled.clear()
             self.records = 0
-            self.result_bytes.clear()
 
 
 def _pool_histograms(histograms: list[Histogram]) -> Histogram:

@@ -24,8 +24,6 @@ Most callers reach this through the top-level facade::
 """
 
 from repro.serve.cachepolicy import (
-    AdaptiveCachePolicy,
-    CachePolicy,
     ResultCacheStorage,
     resolve_result_cache,
 )
@@ -37,9 +35,7 @@ from repro.serve.snapshot import Snapshot, SnapshotUpdater, fork_document
 from repro.serve.throttle import AdmissionController
 
 __all__ = [
-    "AdaptiveCachePolicy",
     "AdmissionController",
-    "CachePolicy",
     "Catalog",
     "Client",
     "ClientResult",

@@ -15,7 +15,7 @@ Request types (client → server)
         ``executor`` travels as the canonical backend key string
         (``"serial"`` / ``"processes:4"``, see
         :class:`~repro.engine.backend.ExecutionBackend`; the removed
-        ``"threads"`` keys still parse, to serial, for one release).  The
+        ``"threads"`` keys are refused with an error frame).  The
         pre-redesign ``parallelism`` integer field had its one-release
         acceptance window and is now ignored.
     ``prepare`` / ``execute``

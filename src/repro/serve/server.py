@@ -90,7 +90,7 @@ def _frame_executor(frame: dict[str, Any]) -> str | None:
 
     v1 frames carry ``executor`` as the canonical backend key string
     (``"serial"`` / ``"processes:4"``); a ``"threads"`` key from an
-    older client runs serially with a :class:`DeprecationWarning` (see
+    older client is refused like any unknown backend (see
     :meth:`ExecutionBackend.from_key
     <repro.engine.backend.ExecutionBackend.from_key>`).  The legacy
     ``parallelism`` integer field served its one-release deprecation

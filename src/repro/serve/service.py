@@ -51,7 +51,6 @@ from repro.errors import (
 from repro.obs.metrics import REGISTRY
 from repro.obs.slowlog import SlowQueryLog
 from repro.serve.cachepolicy import (
-    ENTRY_OVERHEAD_BYTES,
     ResultCacheStorage,
     resolve_result_cache,
 )
@@ -194,12 +193,9 @@ class QueryService:
     result_cache:
         Spec for the snapshot-keyed result cache (see
         :func:`repro.serve.cachepolicy.resolve_result_cache`):
-        ``None`` for the default byte-budgeted LRU, ``0``/``"off"`` to
-        disable, a byte budget (``int`` or ``"16mb"``), a knob mapping
-        (``max_bytes`` / ``max_entries`` / ``ttl_s`` /
-        ``max_entry_bytes`` / ``adaptive``), a
-        :class:`~repro.serve.cachepolicy.CachePolicy` or a prebuilt
-        :class:`~repro.serve.cachepolicy.ResultCacheStorage`.
+        ``None``/``True`` for the default byte-budgeted LRU,
+        ``0``/``"off"`` to disable, a byte budget (``int`` or
+        ``"16mb"``), or a mapping of ``max_bytes`` / ``max_entries``.
     default_document:
         Name used when calls omit ``doc`` (and for registering a
         non-catalog ``source``).
@@ -245,7 +241,7 @@ class QueryService:
 
         self._process_backend = ProcessScanBackend()
 
-        #: Policy/storage result cache (``None`` when disabled).  The
+        #: Byte-budgeted result cache (``None`` when disabled).  The
         #: catalog's retire hook invalidates synchronously, so a retired
         #: snapshot's entries are gone before ``commit`` returns.
         self.result_cache: ResultCacheStorage | None = \
@@ -685,7 +681,7 @@ class QueryService:
                                        None, deadline_state="expired")
                     raise
                 if cache_key is not None:
-                    self._result_put(cache_key, result)
+                    self.result_cache.put(cache_key, result)
                 run_ms = (time.perf_counter() - started) * 1e3
                 self._observe_slow(
                     request, engine, snapshot, run_ms,
@@ -731,24 +727,6 @@ class QueryService:
         _RESULT_HITS.inc()
         self._count("result_cache_hits")
         return result
-
-    def _result_put(self, key: tuple, result: QueryResult) -> None:
-        storage = self.result_cache
-        nbytes = storage.sizer(result) + ENTRY_OVERHEAD_BYTES
-        # Feed the entry-size distribution the adaptive policy reads
-        # back; the document's stats store outlives snapshot churn.
-        try:
-            self.catalog.stats_store(key[0]).record_result_bytes(nbytes)
-        except UsageError:
-            pass    # document dropped while the request was in flight
-        storage.put(key, result, nbytes=nbytes)
-        new_budget = storage.policy.adapt(storage, self._stats_stores)
-        if new_budget is not None and new_budget != storage.max_bytes:
-            storage.resize(max_bytes=new_budget)
-
-    def _stats_stores(self) -> list:
-        return [self.catalog.stats_store(name)
-                for name in self.catalog.names()]
 
     def _purge_results(self, snapshot: Snapshot) -> None:
         """Catalog retire hook: eagerly drop the snapshot's results.

@@ -1,22 +1,19 @@
-"""Unit tests for the result-cache policy/storage split
+"""Unit tests for the byte-budgeted result cache
 (:mod:`repro.serve.cachepolicy`): byte accounting, LRU-by-bytes
-eviction, TTL, the snapshot-invalidation audit, window semantics, the
-``result_cache=`` spec grammar and the adaptive policy's budget moves.
+eviction, the snapshot-invalidation audit and the ``result_cache=``
+spec grammar.
 
 The serving-layer integration (retire hooks, service stats threading)
 is covered in ``test_serve_service.py``; everything here drives the
-storage directly with a fake clock and fake results.
+storage directly with fake results.
 """
 
 import pytest
 
 from repro.errors import UsageError
-from repro.obs.statstore import StatsStore
 from repro.serve.cachepolicy import (
     DEFAULT_RESULT_CACHE_BYTES,
     ENTRY_OVERHEAD_BYTES,
-    AdaptiveCachePolicy,
-    CachePolicy,
     ResultCacheStorage,
     resolve_result_cache,
 )
@@ -32,20 +29,11 @@ class FakeResult:
         return self.payload
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 def key(n: int, snapshot: int = 1, doc: str = "main") -> tuple:
     return (doc, snapshot, f"//q{n}", "auto", "serial")
 
 
 def make_storage(max_bytes: int = 4096, **kwargs) -> ResultCacheStorage:
-    kwargs.setdefault("clock", FakeClock())
     return ResultCacheStorage(max_bytes, **kwargs)
 
 
@@ -58,11 +46,6 @@ class TestByteAccounting:
         # Zero-byte payloads still pay the fixed overhead.
         assert storage.entry_bytes(key(2)) == ENTRY_OVERHEAD_BYTES
         assert storage.stats()["bytes"] == 100 + 2 * ENTRY_OVERHEAD_BYTES
-
-    def test_caller_supplied_nbytes_wins(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x" * 100), nbytes=999)
-        assert storage.entry_bytes(key(1)) == 999
 
     def test_replacing_a_key_releases_the_old_charge(self):
         storage = make_storage()
@@ -126,68 +109,18 @@ class TestEviction:
         assert storage.get(key(1)) is None
 
 
-class TestTTL:
-    def test_entries_expire_lazily_on_get(self):
-        clock = FakeClock()
-        storage = ResultCacheStorage(policy=CachePolicy(ttl_s=10.0),
-                                     clock=clock)
-        storage.put(key(1), FakeResult("x"))
-        clock.now = 9.0
-        assert storage.get(key(1)) is not None
-        clock.now = 10.0
-        assert storage.get(key(1)) is None                # TTL is [0, ttl)
-        stats = storage.stats()
-        assert stats["expirations"] == 1
-        assert stats["size"] == 0 and stats["bytes"] == 0
-
-    def test_eviction_purges_expired_before_lru(self):
-        clock = FakeClock()
-        storage = ResultCacheStorage(
-            max_bytes=3 * ENTRY_OVERHEAD_BYTES,
-            policy=CachePolicy(ttl_s=5.0), clock=clock)
-        storage.put(key(1), FakeResult(""))
-        clock.now = 6.0                                   # 1 is now stale
-        storage.put(key(2), FakeResult(""))
-        storage.put(key(3), FakeResult(""))
-        storage.put(key(4), FakeResult(""))               # needs room
-        stats = storage.stats()
-        # The stale entry went as an *expiration*, sparing a live one.
-        assert stats["expirations"] == 1
-        assert stats["evictions"] == 0
-        assert storage.get(key(2)) is not None
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        storage = ResultCacheStorage(clock=clock)
-        storage.put(key(1), FakeResult("x"))
-        clock.now = 1e9
-        assert storage.get(key(1)) is not None
-
-
 class TestAdmissionPolicy:
-    def test_max_entry_bytes_bounds_admission(self):
-        storage = make_storage(
-            policy=CachePolicy(max_entry_bytes=ENTRY_OVERHEAD_BYTES + 10))
-        assert storage.put(key(1), FakeResult("x" * 10))
-        assert not storage.put(key(2), FakeResult("x" * 11))
-        assert storage.stats()["rejected"] == 1
-
-    def test_custom_should_cache_hook(self):
-        class NeverAggregates(CachePolicy):
-            def should_cache(self, key, result, nbytes):
-                return "agg" not in key[2]
-
-        storage = make_storage(policy=NeverAggregates())
-        assert storage.put(("main", 1, "//q", "auto", "serial"),
-                           FakeResult("x"))
-        assert not storage.put(("main", 1, "//agg", "auto", "serial"),
-                               FakeResult("x"))
-
     def test_policy_knob_validation(self):
-        with pytest.raises(UsageError, match="ttl_s"):
-            CachePolicy(ttl_s=0)
-        with pytest.raises(UsageError, match="max_entry_bytes"):
-            CachePolicy(max_entry_bytes=-1)
+        """The budget knobs are validated; the deleted policy's per-entry
+        knobs are refused rather than silently ignored."""
+        with pytest.raises(UsageError, match="max_bytes"):
+            ResultCacheStorage(-1)
+        with pytest.raises(UsageError, match="max_entries"):
+            ResultCacheStorage(1024, max_entries=-1)
+        for knob, value in (("ttl_s", 2.5), ("max_entry_bytes", 1024)):
+            with pytest.raises(UsageError,
+                               match=f"unknown result_cache knobs: {knob}"):
+                resolve_result_cache({"max_bytes": "1mb", knob: value})
 
 
 class TestSnapshotInvalidation:
@@ -237,56 +170,15 @@ class TestSnapshotInvalidation:
         assert stats["size"] == 1
 
 
-class TestWindowSemantics:
-    def test_window_tracks_alongside_lifetime(self):
+class TestCounters:
+    def test_hits_and_misses_feed_the_hit_ratio(self):
         storage = make_storage()
         storage.put(key(1), FakeResult("x"))
         storage.get(key(1))                               # hit
         storage.get(key(2))                               # miss
         stats = storage.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["window"]["hits"] == 1
-        assert stats["window"]["misses"] == 1
-        assert stats["window"]["hit_ratio"] == 0.5
-
-    def test_resize_resets_window_not_lifetime(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.get(key(1))
-        storage.resize(max_bytes=8192)
-        stats = storage.stats()
-        assert stats["capacity_bytes"] == 8192
-        assert stats["hits"] == 1                         # lifetime kept
-        assert stats["window"]["lookups"] == 0            # window reset
-        assert stats["window"]["hit_ratio"] is None
-
-    def test_resize_down_evicts_to_the_new_budget(self):
-        storage = make_storage()
-        for n in range(4):
-            storage.put(key(n), FakeResult("x" * 100))
-        storage.resize(max_bytes=ENTRY_OVERHEAD_BYTES + 100)
-        stats = storage.stats()
-        assert stats["size"] == 1
-        assert stats["bytes"] <= stats["capacity_bytes"]
-
-    def test_clear_drops_entries_and_window_keeps_lifetime(self):
-        storage = make_storage()
-        storage.put(key(1), FakeResult("x"))
-        storage.get(key(1))
-        assert storage.clear() == 1
-        stats = storage.stats()
-        assert stats["size"] == 0 and stats["bytes"] == 0
-        assert stats["hits"] == 1
-        assert stats["window"]["lookups"] == 0
-
-    def test_window_age_follows_the_clock(self):
-        clock = FakeClock()
-        storage = ResultCacheStorage(clock=clock)
-        clock.now = 7.5
-        assert storage.window_snapshot()["age_s"] == 7.5
-        storage.reset_window()
-        clock.now = 9.0
-        assert storage.window_snapshot()["age_s"] == 1.5
+        assert stats["hit_ratio"] == 0.5
 
 
 class TestResolveSpec:
@@ -294,8 +186,6 @@ class TestResolveSpec:
         storage = resolve_result_cache(None)
         assert storage.max_bytes == DEFAULT_RESULT_CACHE_BYTES
         assert storage.max_entries is None
-        assert type(storage.policy) is CachePolicy
-        assert storage.policy.ttl_s is None
 
     @pytest.mark.parametrize(
         "spec", [0, False, "off", "none", "disabled", "0", " OFF "])
@@ -315,35 +205,32 @@ class TestResolveSpec:
         assert resolve_result_cache(spec).max_bytes == expected
 
     def test_mapping_knobs(self):
-        storage = resolve_result_cache({
-            "max_bytes": "1mb", "max_entries": 32,
-            "ttl_s": 2.5, "max_entry_bytes": 1024})
+        storage = resolve_result_cache({"max_bytes": "1mb",
+                                        "max_entries": 32})
         assert storage.max_bytes == 1024 ** 2
         assert storage.max_entries == 32
-        assert storage.policy.ttl_s == 2.5
-        assert storage.policy.max_entry_bytes == 1024
+        assert resolve_result_cache(
+            {"max_entries": 8}).max_bytes == DEFAULT_RESULT_CACHE_BYTES
 
     def test_mapping_zeroes_disable(self):
         assert resolve_result_cache({"max_entries": 0}) is None
         assert resolve_result_cache({"max_bytes": 0}) is None
 
     def test_adaptive_knob(self):
-        storage = resolve_result_cache({"adaptive": True, "ttl_s": 1.0})
-        assert isinstance(storage.policy, AdaptiveCachePolicy)
-        assert storage.policy.ttl_s == 1.0
-        tuned = resolve_result_cache(
-            {"adaptive": {"interval": 16, "grow_ratio": 0.5}})
-        assert tuned.policy.interval == 16
+        for value in (True, {"interval": 16, "grow_ratio": 0.5}):
+            with pytest.raises(UsageError,
+                               match="unknown result_cache knobs: adaptive"):
+                resolve_result_cache({"adaptive": value})
 
     def test_policy_and_storage_specs(self):
-        policy = CachePolicy(ttl_s=3.0)
-        assert resolve_result_cache(policy).policy is policy
-        storage = ResultCacheStorage(1024)
-        assert resolve_result_cache(storage) is storage
+        # A prebuilt storage is not a spec: the budget is the one input.
+        with pytest.raises(UsageError, match="cannot interpret"):
+            resolve_result_cache(ResultCacheStorage(1024))
 
     def test_unknown_knob_is_a_usage_error(self):
-        with pytest.raises(UsageError, match="unknown result_cache"):
-            resolve_result_cache({"size": 64})
+        with pytest.raises(UsageError,
+                           match="unknown result_cache knobs: size"):
+            resolve_result_cache({"max_bytes": "1mb", "size": 64})
 
     def test_bad_specs_are_usage_errors(self):
         with pytest.raises(UsageError, match="byte budget"):
@@ -352,79 +239,3 @@ class TestResolveSpec:
             resolve_result_cache("sixty-four kb")
         with pytest.raises(UsageError, match="cannot interpret"):
             resolve_result_cache(3.14)
-
-
-class TestAdaptivePolicy:
-    @staticmethod
-    def drive(storage, hits, misses):
-        """Feed the window ``hits``/``misses`` lookups."""
-        storage.put(key(0), FakeResult("x"))
-        for _ in range(hits):
-            assert storage.get(key(0)) is not None
-        for n in range(misses):
-            storage.get(("main", 1, f"//absent{n}", "auto", "serial"))
-
-    def test_grows_when_hot_and_evicting(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=8, misses=0)
-        storage.evictions += 1                            # byte pressure
-        storage._window_evictions += 1
-        assert policy.adapt(storage) == 4096
-        assert policy.decisions["grown"] == 1
-
-    def test_never_grows_without_evictions(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=8, misses=0)
-        assert policy.adapt(storage) is None              # no pressure
-        # The verdict consumed the window: a fresh measurement starts.
-        assert storage.window_snapshot()["lookups"] == 0
-
-    def test_shrinks_when_cold(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=1024)
-        storage = make_storage(max_bytes=4096, policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) == 2048
-        assert policy.decisions["shrunk"] == 1
-
-    def test_clamped_at_min_bytes(self):
-        policy = AdaptiveCachePolicy(interval=8, min_bytes=2048)
-        storage = make_storage(max_bytes=2048, policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) is None              # at the floor
-
-    def test_interval_gates_decisions(self):
-        policy = AdaptiveCachePolicy(interval=100)
-        storage = make_storage(policy=policy)
-        self.drive(storage, hits=0, misses=8)
-        assert policy.adapt(storage) is None
-        assert policy.decisions["shrunk"] == 0            # not enough data
-
-    def test_entry_bound_follows_observed_p95(self):
-        policy = AdaptiveCachePolicy(interval=4, entry_headroom=2.0)
-        storage = make_storage(policy=policy)
-        store = StatsStore()
-        for _ in range(50):
-            store.record_result_bytes(60_000)
-        self.drive(storage, hits=2, misses=2)
-        policy.adapt(storage, lambda: [store])
-        assert policy.decisions["entry_bound"] == 1
-        # p95 lands in the 64 KiB bucket; headroom doubles it.
-        assert policy.max_entry_bytes is not None
-        assert policy.max_entry_bytes >= 60_000
-
-    def test_knob_validation(self):
-        with pytest.raises(UsageError, match="min_bytes"):
-            AdaptiveCachePolicy(min_bytes=0)
-        with pytest.raises(UsageError, match="shrink_ratio"):
-            AdaptiveCachePolicy(grow_ratio=0.2, shrink_ratio=0.5)
-        with pytest.raises(UsageError, match="interval"):
-            AdaptiveCachePolicy(interval=0)
-
-    def test_describe_carries_the_decision_ledger(self):
-        policy = AdaptiveCachePolicy()
-        payload = policy.describe()
-        assert payload["policy"] == "AdaptiveCachePolicy"
-        assert payload["decisions"] == {
-            "grown": 0, "shrunk": 0, "entry_bound": 0}

@@ -1,11 +1,12 @@
-"""The execution-backend spec and the ``threads`` deprecation shim.
+"""The execution-backend spec and the refusal of the removed
+``threads`` keys.
 
-Two backends remain: ``serial`` and ``processes``.  For one release the
-removed ``"threads"`` / ``"threads:N"`` keys still parse — to the serial
-spec, with one :class:`DeprecationWarning` — so an old caller keeps
-getting serial-identical results that share serial's plan-cache and
-result-cache entries, on every query surface.
+Two backends remain: ``serial`` and ``processes``.  The removed
+``"threads"`` / ``"threads:N"`` keys raise :class:`ReproError` on every
+query surface and in a raw wire frame, like any other unknown kind.
 """
+
+import socket
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine.backend import (
 from repro.engine.session import Engine
 from repro.errors import ReproError
 from repro.serve import client as client_mod
+from repro.serve.protocol import encode_frame, read_frame
 from repro.serve.service import QueryService
 from repro.xmlkit.parser import parse
 
@@ -34,10 +36,6 @@ LIBRARY = """
 """
 
 QUERY = "//book[author]/title"
-
-
-def deprecations(record) -> list:
-    return [w for w in record if issubclass(w.category, DeprecationWarning)]
 
 
 class TestSpec:
@@ -58,56 +56,47 @@ class TestSpec:
         assert ExecutionBackend.from_key("processes:2").key == "processes:2"
 
     @pytest.mark.parametrize("key", ["threads", "threads:4"])
-    def test_threads_keys_parse_to_serial_with_a_warning(self, key):
-        with pytest.warns(DeprecationWarning, match="threads") as record:
-            backend = ExecutionBackend.from_key(key)
-        assert backend == ExecutionBackend()
-        assert len(deprecations(record)) == 1
+    def test_threads_keys_are_refused(self, key):
+        with pytest.raises(ReproError, match="threads"):
+            ExecutionBackend.from_key(key)
 
 
 class TestThreadsKeyOnEverySurface:
     def test_engine_query(self):
         engine = Engine(parse(LIBRARY))
-        serial = engine.query(QUERY)
-        hits = engine.plan_cache.stats()["hits"]
-        with pytest.warns(DeprecationWarning) as record:
-            threads = engine.query(QUERY, executor="threads:4")
-        assert len(deprecations(record)) == 1
-        assert threads.serialize() == serial.serialize()
-        # Same plan-cache key as serial: the second lookup is a hit.
-        assert engine.plan_cache.stats()["hits"] == hits + 1
-        assert engine.plan_cache.stats()["size"] == 1
+        with pytest.raises(ReproError, match="threads"):
+            engine.query(QUERY, executor="threads:4")
+        assert engine.plan_cache.stats()["size"] == 0
 
     def test_prepare(self):
         engine = Engine(parse(LIBRARY))
-        serial = engine.query(QUERY)
-        with pytest.warns(DeprecationWarning) as record:
-            prepared = engine.prepare(QUERY, executor="threads:4")
-        assert len(deprecations(record)) == 1
-        assert prepared.executor == ExecutionBackend()
-        assert prepared.execute().serialize() == serial.serialize()
-        assert engine.plan_cache.stats()["size"] == 1
+        with pytest.raises(ReproError, match="threads"):
+            engine.prepare(QUERY, executor="threads:4")
+        assert engine.plan_cache.stats()["size"] == 0
 
     def test_query_service_submit(self):
         with QueryService(LIBRARY, workers=1) as service:
-            serial = service.submit(QUERY).result()
-            with pytest.warns(DeprecationWarning) as record:
-                future = service.submit(QUERY, executor="threads:4")
-            threads = future.result()
-        assert len(deprecations(record)) == 1
-        assert threads.serialize() == serial.serialize()
-        # Same result-cache key as serial: answered from the cache.
-        assert not serial.cached
-        assert threads.cached
+            with pytest.raises(ReproError, match="threads"):
+                service.submit(QUERY, executor="threads:4").result()
+            # The refusal leaves the service serving.
+            assert len(service.submit(QUERY).result()) == 2
 
     def test_client_query_over_the_wire(self):
         with repro.connect(LIBRARY) as db:
             server = db.listen()
             with client_mod.connect(*server.address) as cl:
-                serial = cl.query(QUERY)
-                with pytest.warns(DeprecationWarning) as record:
-                    threads = cl.query(QUERY, executor="threads:4")
-        assert len(deprecations(record)) == 1
-        assert threads.serialize() == serial.serialize()
-        assert not serial.cached
-        assert threads.cached
+                with pytest.raises(ReproError, match="threads"):
+                    cl.query(QUERY, executor="threads:4")
+                # A raw frame naming the key is refused server-side.
+                with socket.create_connection(server.address,
+                                              timeout=5.0) as sock, \
+                        sock.makefile("rwb") as stream:
+                    assert read_frame(stream)["type"] == "hello"
+                    stream.write(encode_frame(
+                        {"type": "query", "id": 1, "text": QUERY,
+                         "executor": "threads:4"}))
+                    stream.flush()
+                    reply = read_frame(stream)
+                assert len(cl.query(QUERY)) == 2
+        assert (reply["type"], reply["id"]) == ("error", 1)
+        assert "threads" in reply["message"]

@@ -15,12 +15,11 @@ from repro.errors import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.serve import (
-    CachePolicy,
     Catalog,
     QueryService,
-    ResultCacheStorage,
     ServeResult,
 )
+from repro.serve.cachepolicy import DEFAULT_RESULT_CACHE_BYTES
 from repro.xmlkit.storage import CancellationToken, ScanCounters
 from repro.xmlkit.parser import parse
 
@@ -329,53 +328,21 @@ class TestCacheLifecycle:
             fresh = service.query("//book/title")
             assert not fresh.cached and len(fresh) == 1
 
-    def test_ttl_expiry_with_injected_clock(self):
-        clock = {"now": 0.0}
-        storage = ResultCacheStorage(policy=CachePolicy(ttl_s=5.0),
-                                     clock=lambda: clock["now"])
-        with make_service(workers=1, result_cache=storage) as service:
+    def test_result_cache_true_caches(self):
+        """``True`` is the default storage, not a 1-byte budget that
+        reports enabled while rejecting every entry."""
+        with make_service(workers=1, result_cache=True) as service:
             first = service.query("//book/title")
-            clock["now"] = 4.0
-            warm = service.query("//book/title")      # inside the TTL
-            clock["now"] = 6.0
-            cold = service.query("//book/title")      # past it: re-runs
-        assert not first.cached and warm.cached and not cold.cached
-        stats = storage.stats()
-        assert stats["expirations"] == 1
-        assert stats["size"] == 1                     # the re-admitted run
-
-    def test_hit_ratio_window_resets_on_resize_and_clear(self):
-        """The stale-ratio bugfix: after a resize the windowed ratio
-        speaks only for the new configuration, while the lifetime ratio
-        keeps the full history."""
-        with make_service(workers=1) as service:
-            storage = service.result_cache
-            service.query("//book/title")             # miss
-            service.query("//book/title")             # hit
-            stats = storage.stats()
-            assert stats["hit_ratio"] == 0.5
-            assert stats["window"]["hit_ratio"] == 0.5
-
-            storage.resize(max_bytes=storage.max_bytes)
-            stats = storage.stats()
-            assert stats["hit_ratio"] == 0.5          # lifetime survives
-            assert stats["window"]["lookups"] == 0    # window starts over
-
-            service.query("//book/title")             # entry survived: hit
-            stats = storage.stats()
-            assert stats["window"]["hit_ratio"] == 1.0
-            assert stats["hit_ratio"] == pytest.approx(2 / 3, abs=1e-4)
-
-            storage.clear()
-            stats = storage.stats()
-            assert stats["size"] == 0
-            assert stats["window"]["lookups"] == 0
-            assert stats["hits"] == 2 and stats["misses"] == 1
+            second = service.query("//book/title")
+            stats = service.result_cache.stats()
+        assert not first.cached and second.cached
+        assert stats["capacity_bytes"] == DEFAULT_RESULT_CACHE_BYTES
+        assert stats["rejected"] == 0
 
     def test_oversized_results_are_rejected_not_admitted(self):
         with make_service(
                 workers=1,
-                result_cache={"max_entry_bytes": 1}) as service:
+                result_cache={"max_bytes": 1}) as service:
             first = service.query("//book/title")
             second = service.query("//book/title")
             stats = service.result_cache.stats()
