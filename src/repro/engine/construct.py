@@ -14,7 +14,8 @@ from collections.abc import Callable
 from repro.errors import DNFError
 from repro.xmlkit.tree import Document, Node
 from repro.xpath.ast import Expr
-from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
+from repro.xpath.evaluator import EvalContext, Value, XPathEvaluator
+from repro.xpath.where import WhereFilter, compile_where
 from repro.xquery.ast import (
     ElementConstructor,
     Enclosed,
@@ -74,11 +75,23 @@ class DirectEvaluator:
         return EvalContext(self.doc.document_node, variables=bindings,
                            resolve_doc=self.resolve_doc)
 
-    def check_where(self, where: Expr | None, bindings: dict) -> bool:
-        """Effective boolean value of a where clause under bindings."""
+    def evaluate(self, expr: Expr, bindings: dict) -> Value:
+        """One XPath expression's value under bindings."""
+        return self.xpath.evaluate(expr, self.context(bindings))
+
+    def check_where(self, where: Expr | None, bindings: dict,
+                    compiled: WhereFilter | None = None) -> bool:
+        """Effective boolean value of a where clause under bindings.
+
+        ``compiled`` is the clause's filter from the plan (see
+        :mod:`repro.xpath.where`); without it, or for another clause,
+        the clause is compiled for this call.
+        """
         if where is None:
             return True
-        return boolean_value(self.xpath.evaluate(where, self.context(bindings)))
+        if compiled is None or compiled.where is not where:
+            compiled = WhereFilter(where)
+        return compiled(bindings, self.evaluate)
 
     # ------------------------------------------------------------------
     # FLWOR by direct iteration.
@@ -86,7 +99,8 @@ class DirectEvaluator:
 
     def eval_flwor(self, flwor: FLWOR, outer: dict) -> list[Item]:
         tuples: list[dict] = []
-        self._expand_clauses(flwor.clauses, 0, dict(outer), tuples, flwor.where)
+        self._expand_clauses(flwor.clauses, 0, dict(outer), tuples,
+                             flwor.where, compile_where(flwor.where))
         tuples = self.order_tuples(flwor.order_by, tuples)
         items: list[Item] = []
         for bindings in tuples:
@@ -94,13 +108,14 @@ class DirectEvaluator:
         return items
 
     def _expand_clauses(self, clauses, index: int, bindings: dict,
-                        out: list[dict], where: Expr | None) -> None:
+                        out: list[dict], where: Expr | None,
+                        compiled: WhereFilter | None) -> None:
         if index == len(clauses):
             self.tuples_examined += 1
             if self.work_budget is not None and self.tuples_examined > self.work_budget:
                 raise DNFError("direct FLWOR evaluation exceeded its work budget",
                                budget=self.work_budget)
-            if self.check_where(where, bindings):
+            if self.check_where(where, bindings, compiled):
                 out.append(dict(bindings))
             return
         clause = clauses[index]
@@ -108,12 +123,14 @@ class DirectEvaluator:
         if isinstance(clause, ForClause):
             for item in sequence:
                 bindings[clause.var] = [item]
-                self._expand_clauses(clauses, index + 1, bindings, out, where)
+                self._expand_clauses(clauses, index + 1, bindings, out, where,
+                                     compiled)
             bindings.pop(clause.var, None)
         else:
             assert isinstance(clause, LetClause)
             bindings[clause.var] = sequence
-            self._expand_clauses(clauses, index + 1, bindings, out, where)
+            self._expand_clauses(clauses, index + 1, bindings, out, where,
+                                 compiled)
             bindings.pop(clause.var, None)
 
     # ------------------------------------------------------------------

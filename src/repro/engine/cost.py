@@ -120,8 +120,11 @@ class CostModel:
         The scan touches every node (the access method is a full
         sequential pass); the output cardinality estimate is the root
         tag's index cardinality — predicates and mandatory children can
-        only filter below that.
+        only filter below that.  A ``#root`` NoK matches the document
+        node without scanning: no nodes, at most one row.
         """
+        if root_tag == "#root":
+            return 0.0, 1.0
         return self.scan_estimate(), float(self._cardinality(root_tag))
 
     def edge_estimate(self, parent_tag: str, child_tag: str,

@@ -48,6 +48,7 @@ from repro.physical.nested_loop import (
     bounded_nested_loop_join,
     naive_nested_loop_join,
 )
+from repro.physical.nok import NoKKernel
 from repro.physical.nok_merge import merged_scan
 from repro.physical.parallel_scan import parallel_merged_scan
 from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
@@ -130,6 +131,8 @@ class FLWORExecutor:
         self._direct = DirectEvaluator(doc, self.resolve_doc)
         #: (parent_vid, child_vid) -> JoinResult, filled during execute()
         self._adjacency: dict[tuple[int, int], JoinResult] = {}
+        #: The plan's compiled NoKs (by nok_id), set by execute()
+        self._kernels: tuple[NoKKernel, ...] = ()
         #: filled during execute(), for explain()
         self.plan_notes: list[str] = []
         #: Observed NoK selectivities of this run — one
@@ -162,9 +165,10 @@ class FLWORExecutor:
             tree = build_blossom_tree(flwor, external=external)
             # Dewey IDs are global (Theorem 2 precondition); prepare_
             # artifacts assigns them alongside the decomposition.
-            artifacts = prepare_artifacts(tree)
+            artifacts = prepare_artifacts(tree, flwor.where)
         tree = artifacts.tree
         dec = artifacts.decomposition
+        self._kernels = artifacts.kernels
         base = dict(bindings) if bindings else {}
 
         with self.tracer.span("match-phase") as span:
@@ -181,11 +185,12 @@ class FLWORExecutor:
         # Finish: where re-verification, order by, return construction.
         with self.tracer.span("finish-phase") as span:
             surviving: list[dict] = []
+            where = artifacts.where
             for env in envs:
                 self.counters.comparisons += 1
                 merged = {**base, **env.as_variables()} if base \
                     else env.as_variables()
-                if self._direct.check_where(flwor.where, merged):
+                if self._direct.check_where(flwor.where, merged, where):
                     surviving.append(merged)
             surviving = self._direct.order_tuples(flwor.order_by, surviving)
             items: list[Item] = []
@@ -257,9 +262,11 @@ class FLWORExecutor:
                         parallelism=self.parallelism,
                         stats=self._doc_stats if doc is self.doc else None,
                         process_backend=self.process_executor,
-                        tracer=self.tracer if self._tracing else None)
+                        tracer=self.tracer if self._tracing else None,
+                        kernels=self._kernels)
                 else:
-                    result = merged_scan(noks, doc, self.counters, per_nok)
+                    result = merged_scan(noks, doc, self.counters, per_nok,
+                                         self._kernels)
                 wall_ms = (time.perf_counter_ns() - started) / 1e6
                 scan_nodes = self.counters.nodes_scanned - before_nodes
                 scan_span.set(
@@ -386,12 +393,13 @@ class FLWORExecutor:
         # canonical map reconciles them with the bottom-up-reduced right
         # entries so deeper mandatory joins stay enforced.
         canonical = {e.node.nid: e for e in right if e.node is not None}
+        kernel = self._kernels[inner_nok.nok_id]
         if algorithm == "bnlj":
             return bounded_nested_loop_join(projection, inner_nok, doc, edge,
-                                            self.counters, canonical)
+                                            self.counters, canonical, kernel)
         assert algorithm == "nl"
         return naive_nested_loop_join(projection, inner_nok, doc, edge,
-                                      self.counters, canonical)
+                                      self.counters, canonical, kernel)
 
     def _pick_algorithm(self, dec: Decomposition, edge: InterEdge) -> str:
         if self.join_algorithm != "auto":

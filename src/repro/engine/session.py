@@ -623,7 +623,9 @@ class Engine:
                 and choice.strategy not in ("naive", "xhive",
                                             "static-empty"):
             with tracer.span("prepare-artifacts") as span:
-                artifacts = prepare_artifacts(exec_tree)
+                artifacts = prepare_artifacts(
+                    exec_tree, compiled.flwor.where
+                    if compiled.flwor is not None else None)
                 span.set(noks=len(artifacts.decomposition.noks))
         if choice.strategy == "parallel" and strategy == "auto" \
                 and artifacts is not None:

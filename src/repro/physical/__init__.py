@@ -6,11 +6,10 @@ from repro.physical.nested_loop import (
     naive_nested_loop_join,
     nested_loop_pairs,
 )
-from repro.physical.nok import NoKMatcher, match_subtree
+from repro.physical.nok import NoKMatcher, compile_nok
 from repro.physical.nok_merge import merged_scan
 from repro.physical.pipelined_join import caching_desc_join, pipelined_desc_join
 from repro.physical.stack_join import stack_desc_join, stack_join_pairs
-from repro.physical.streaming import StreamingNoKMatcher, stream_count
 from repro.physical.structural import JoinResult, axis_test, left_projection
 from repro.physical.twigstack import TwigStackOperator, twig_supported
 
@@ -21,15 +20,13 @@ __all__ = [
     "axis_test",
     "bounded_nested_loop_join",
     "caching_desc_join",
+    "compile_nok",
     "left_projection",
-    "match_subtree",
     "merged_scan",
     "naive_nested_loop_join",
     "nested_loop_pairs",
     "pipelined_desc_join",
     "stack_desc_join",
     "stack_join_pairs",
-    "StreamingNoKMatcher",
-    "stream_count",
     "twig_supported",
 ]

@@ -28,7 +28,7 @@ from typing import TypeVar
 
 from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import InterEdge, NoKTree
-from repro.physical.nok import NoKMatcher
+from repro.physical.nok import NoKKernel, NoKMatcher, compile_nok
 from repro.physical.structural import JoinResult, axis_test
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
@@ -52,7 +52,8 @@ _OUTPUT = REGISTRY.counter("repro_operator_output_total",
 def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                              doc: Document, edge: InterEdge,
                              counters: ScanCounters | None = None,
-                             canonical: dict[int, NLEntry] | None = None
+                             canonical: dict[int, NLEntry] | None = None,
+                             kernel: NoKKernel | None = None
                              ) -> JoinResult:
     """BNLJ: per outer node, re-match the inner NoK within its subtree.
 
@@ -68,9 +69,14 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
     a rematch whose root is absent there was eliminated by a deeper
     mandatory join and must not resurface, and present ones must map to
     the *filtered* entry so downstream navigation sees reduced groups.
+
+    ``kernel`` is the inner NoK's compiled match kernel (the plan's);
+    without it the NoK is compiled once for this join.
     """
     if counters is None:
         counters = ScanCounters()
+    if kernel is None:
+        kernel = compile_nok(inner_nok)
     result = JoinResult(edge)
     token = counters.cancellation
     for outer in left_nodes:
@@ -78,7 +84,8 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
             token.checkpoint()
         start = outer.nid + 1
         stop = outer.nid + outer.subtree_size()
-        matcher = NoKMatcher(inner_nok, doc, counters, start_nid=start, stop_nid=stop)
+        matcher = NoKMatcher(inner_nok, doc, counters, start_nid=start,
+                             stop_nid=stop, kernel=kernel)
         for entry in matcher.iter_matches():
             entry = _reconcile(entry, canonical)
             if entry is not None:
@@ -91,22 +98,25 @@ def bounded_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
 def naive_nested_loop_join(left_nodes: Iterable[Node], inner_nok: NoKTree,
                            doc: Document, edge: InterEdge,
                            counters: ScanCounters | None = None,
-                           canonical: dict[int, NLEntry] | None = None
+                           canonical: dict[int, NLEntry] | None = None,
+                           kernel: NoKKernel | None = None
                            ) -> JoinResult:
     """Unbounded nested loop: full inner scan per outer node.
 
     The ablation baseline for BNLJ's range optimization and the
     harness's "NL" system.  See :func:`bounded_nested_loop_join` for
-    the ``canonical`` reconciliation contract.
+    the ``canonical`` reconciliation contract and ``kernel``.
     """
     if counters is None:
         counters = ScanCounters()
+    if kernel is None:
+        kernel = compile_nok(inner_nok)
     result = JoinResult(edge)
     token = counters.cancellation
     for outer in left_nodes:
         if token is not None:
             token.checkpoint()
-        matcher = NoKMatcher(inner_nok, doc, counters)
+        matcher = NoKMatcher(inner_nok, doc, counters, kernel=kernel)
         for entry in matcher.iter_matches():
             node = entry.node
             assert node is not None

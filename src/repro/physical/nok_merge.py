@@ -14,12 +14,13 @@ by one document pass instead of one pass per NoK.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.obs.metrics import REGISTRY
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
+from repro.physical.nok import NoKKernel, compile_nok
 from repro.xmlkit.storage import ScanCounters, SequentialScan
 from repro.xmlkit.tree import Document
-from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
 __all__ = ["merged_scan"]
@@ -32,7 +33,8 @@ _OUTPUT = REGISTRY.counter("repro_operator_output_total",
 
 def merged_scan(noks: list[NoKTree], doc: Document,
                 counters: ScanCounters | None = None,
-                per_nok: dict[int, ScanCounters] | None = None
+                per_nok: dict[int, ScanCounters] | None = None,
+                kernels: Sequence[NoKKernel] | None = None
                 ) -> dict[int, list[NLEntry]]:
     """Evaluate several NoK pattern trees over one document in one scan.
 
@@ -46,10 +48,16 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     scan to individual pattern trees.  The private counters are folded
     back into ``counters`` before returning, keeping the shared totals
     identical either way.
+
+    ``kernels`` are the plan's compiled NoKs, indexed by ``nok_id``
+    (see :class:`~repro.pattern.artifact.PatternArtifacts`); without
+    them each NoK is compiled for this call.
     """
     if counters is None:
         counters = ScanCounters()
-    evaluator = XPathEvaluator()
+    kernel_of = {nok.nok_id: (kernels[nok.nok_id] if kernels is not None
+                              else compile_nok(nok))
+                 for nok in noks}
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
 
     def counters_for(nok: NoKTree) -> ScanCounters:
@@ -62,8 +70,8 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     scannable: list[NoKTree] = []
     for nok in noks:
         if nok.root.name == "#root":
-            entry = match_subtree(nok.root, doc.document_node,
-                                  counters_for(nok), evaluator)
+            entry = kernel_of[nok.nok_id](doc.document_node,
+                                          counters_for(nok))
             if entry is not None:
                 results[nok.nok_id].append(entry)
         else:
@@ -74,28 +82,27 @@ def merged_scan(noks: list[NoKTree], doc: Document,
     # wildcard roots must still see each element.  Same matches, same
     # counters (the tag test never touched ScanCounters), fewer inner
     # loop iterations — this scan runs once per warm-path execution.
-    by_tag: dict[str, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
+    # Each candidate is its kernel, the counters it charges and the
+    # list its matches go to; wildcard roots merge in after the named.
+    by_tag: dict[str, list[tuple]] = {}
+    wildcard: list[tuple] = []
     for nok in scannable:
+        candidate = (kernel_of[nok.nok_id], counters_for(nok),
+                     results[nok.nok_id])
         if nok.root.name == "*":
-            wildcard.append(nok)
+            wildcard.append(candidate)
         else:
-            by_tag.setdefault(nok.root.name, []).append(nok)
+            by_tag.setdefault(nok.root.name, []).append(candidate)
+    for named in by_tag.values():
+        named.extend(wildcard)
 
     try:
         if scannable:
-            scan = SequentialScan(doc, counters)
-            for node in scan:
-                named = by_tag.get(node.tag)
-                candidates = (named + wildcard if named and wildcard
-                              else named or wildcard)
-                if not candidates:
-                    continue
-                for nok in candidates:
-                    entry = match_subtree(nok.root, node, counters_for(nok),
-                                          evaluator)
+            for node in SequentialScan(doc, counters):
+                for kernel, charged, out in by_tag.get(node.tag, wildcard):
+                    entry = kernel(node, charged)
                     if entry is not None:
-                        results[nok.nok_id].append(entry)
+                        out.append(entry)
     finally:
         # Fold private per-NoK work back into the shared totals even when
         # the scan aborts on a budget trip (DNF).

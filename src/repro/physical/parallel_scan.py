@@ -36,18 +36,18 @@ within one stride in every worker (see :mod:`repro.physical.process_scan`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
+from repro.physical.nok import NoKKernel, compile_nok
 from repro.physical.nok_merge import merged_scan
 from repro.xmlkit.partition import Partition, partition_document
 from repro.xmlkit.stats import DocumentStats
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document
-from repro.xpath.evaluator import XPathEvaluator
 from repro.algebra.nested_list import NLEntry
 
 if TYPE_CHECKING:
@@ -74,6 +74,7 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
                          partitions: list[Partition] | None = None,
                          process_backend: ProcessScanBackend | None = None,
                          tracer: Tracer | None = None,
+                         kernels: Sequence[NoKKernel] | None = None,
                          ) -> dict[int, list[NLEntry]]:
     """Evaluate several NoK pattern trees over partition-parallel scans.
 
@@ -86,6 +87,10 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
     ``partitions`` overrides the stats-driven partitioning (tests use
     this to force fine-grained cuts on small documents); with a single
     partition the call degenerates to the serial merged scan.
+
+    ``kernels`` (the plan's compiled NoKs, indexed by ``nok_id``) serve
+    the coordinator's ``#root`` matches and the serial fallback; the
+    worker processes compile their own from the NoKs they receive.
     """
     if counters is None:
         counters = ScanCounters()
@@ -93,21 +98,21 @@ def parallel_merged_scan(noks: list[NoKTree], doc: Document,
         partitions = partition_document(doc, parallelism, stats=stats)
     if len(partitions) <= 1:
         _PARTITION_FALLBACKS.inc()
-        return merged_scan(noks, doc, counters, per_nok)
+        return merged_scan(noks, doc, counters, per_nok, kernels)
 
     results: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
 
     # #root NoKs match the document node directly, exactly once, in the
     # coordinator — they are independent of the element scan.
-    evaluator = XPathEvaluator()
     scannable: list[NoKTree] = []
     for nok in noks:
         if nok.root.name == "#root":
             nok_counters = (counters if per_nok is None
                             else per_nok.setdefault(nok.nok_id,
                                                     ScanCounters()))
-            entry = match_subtree(nok.root, doc.document_node,
-                                  nok_counters, evaluator)
+            kernel = (kernels[nok.nok_id] if kernels is not None
+                      else compile_nok(nok))
+            entry = kernel(doc.document_node, nok_counters)
             if entry is not None:
                 results[nok.nok_id].append(entry)
         else:

@@ -56,12 +56,11 @@ from repro.errors import (DNFError, ExecutionError, QueryCancelledError,
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
 from repro.pattern.decompose import NoKTree
-from repro.physical.nok import match_subtree
+from repro.physical.nok import compile_nok
 from repro.xmlkit.arena import ArenaDocument, DocumentArena, arena_file_for
 from repro.xmlkit.partition import Partition
-from repro.xmlkit.storage import ScanCounters
+from repro.xmlkit.storage import SCAN_STRIDE, ScanCounters
 from repro.xmlkit.tree import ELEMENT, Document
-from repro.xpath.evaluator import XPathEvaluator
 
 __all__ = ["ProcessScanBackend", "run_process_scan",
            "shared_process_backend", "shutdown_shared_process_backend"]
@@ -77,8 +76,8 @@ _WORKER_CRASHES = REGISTRY.counter(
 #: query owns one slot in the shared cancel/budget arrays.
 _SLOT_COUNT = 64
 #: Worker-side checkpoint stride (nodes between shared-state checks),
-#: matching the CancellationToken default.
-_STRIDE = 256
+#: the serial scan's own stride.
+_STRIDE = SCAN_STRIDE
 
 
 def _fork_context() -> multiprocessing.context.BaseContext:
@@ -451,9 +450,10 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
 
     The serial merged scan's loop over the arena columns: every slot in
     range charges ``nodes_scanned``, elements are
-    dispatched to their candidate NoKs by tag id, and
-    :func:`~repro.physical.nok.match_subtree` does the (identical)
-    recursive matching on lazily-materialized node views.  Shared-state
+    dispatched to their candidate NoKs by tag id, and the NoKs' match
+    kernels — compiled here from the unpickled NoKs with
+    :func:`~repro.physical.nok.compile_nok`, as the serial plan compiles
+    them — match on lazily-materialized node views.  Shared-state
     checks run once per stride: cancel flag, absolute monotonic deadline
     (CLOCK_MONOTONIC is system-wide on Linux, so the coordinator's
     deadline transfers verbatim), and the global budget cell.
@@ -467,21 +467,27 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
     arena = adoc.arena
     noks: list[NoKTree] = pickle.loads(noks_blob)
 
-    by_tid: dict[int, list[NoKTree]] = {}
-    wildcard: list[NoKTree] = []
-    for nok in noks:
-        if nok.root.name == "*":
-            wildcard.append(nok)
-        else:
-            tid = arena.tag_ids.get(nok.root.name)
-            if tid is not None:
-                by_tid.setdefault(tid, []).append(nok)
-
     local = ScanCounters()
     local_per_nok: dict[int, ScanCounters] | None = (
         {} if want_per_nok else None)
     matches: dict[int, list[NLEntry]] = {nok.nok_id: [] for nok in noks}
-    evaluator = XPathEvaluator()
+    # Each candidate is its kernel, the counters it charges and the list
+    # its matches go to; wildcard roots merge in after the named.
+    by_tid: dict[int, list[tuple]] = {}
+    wildcard: list[tuple] = []
+    for nok in noks:
+        charged = (local if local_per_nok is None
+                   else local_per_nok.setdefault(nok.nok_id, ScanCounters()))
+        candidate = (compile_nok(nok), charged, matches[nok.nok_id])
+        if nok.root.name == "*":
+            wildcard.append(candidate)
+        else:
+            tid = arena.tag_ids.get(nok.root.name)
+            if tid is not None:
+                by_tid.setdefault(tid, []).append(candidate)
+    for named in by_tid.values():
+        named.extend(wildcard)
+
     kinds, tags = arena.kind, arena.tag_id
     nodes = adoc.nodes
     flushed = 0
@@ -512,20 +518,14 @@ def _scan_partition_task(path: str, noks_blob: bytes, start_nid: int,
                 checkpoint()
             if kinds[nid] != ELEMENT:
                 continue
-            named = by_tid.get(tags[nid])
-            candidates = (named + wildcard if named and wildcard
-                          else named or wildcard)
+            candidates = by_tid.get(tags[nid], wildcard)
             if not candidates:
                 continue
             node = nodes[nid]
-            for nok in candidates:
-                nok_counters = (local if local_per_nok is None
-                                else local_per_nok.setdefault(
-                                    nok.nok_id, ScanCounters()))
-                entry = match_subtree(nok.root, node, nok_counters,
-                                      evaluator)
+            for kernel, charged, out in candidates:
+                entry = kernel(node, charged)
                 if entry is not None:
-                    matches[nok.nok_id].append(entry)
+                    out.append(entry)
         checkpoint()
     except ReproError as exc:
         failure = exc

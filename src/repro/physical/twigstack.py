@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from repro.errors import ExecutionError
 from repro.obs.metrics import REGISTRY
 from repro.pattern.blossom import BlossomTree, BlossomVertex
+from repro.physical.nok import compile_predicate
 from repro.xmlkit.index import TagIndex
 from repro.xmlkit.storage import ScanCounters
 from repro.xmlkit.tree import Document, Node
-from repro.xpath.evaluator import EvalContext, XPathEvaluator, boolean_value
 
 __all__ = ["TwigStackOperator", "twig_supported"]
 
@@ -126,7 +126,6 @@ class TwigStackOperator:
         self.doc = doc
         self.index = index if index is not None else TagIndex(doc)
         self.counters = counters if counters is not None else ScanCounters()
-        self._evaluator = XPathEvaluator()
         self.root_q = self._build_query_tree()
         #: (parent_vid, child_vid) -> set of (parent_nid, child_nid) pairs
         self._pairs: dict[tuple[int, int], set[tuple[int, int]]] = {}
@@ -167,13 +166,13 @@ class TwigStackOperator:
         self.counters.nodes_scanned += len(nodes)
         if not vertex.value_predicates:
             return nodes
+        tests = [compile_predicate(p) for p in vertex.value_predicates]
         kept: list[Node] = []
         for node in nodes:
-            context = EvalContext(node)
             ok = True
-            for predicate in vertex.value_predicates:
+            for test in tests:
                 self.counters.comparisons += 1
-                if not boolean_value(self._evaluator.evaluate(predicate, context)):
+                if not test(node):
                     ok = False
                     break
             if ok:

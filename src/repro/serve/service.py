@@ -610,8 +610,7 @@ class QueryService:
                     self._cond.notify_all()
 
     def _serve(self, request: _Request) -> None:
-        future = request.future
-        if not future.set_running_or_notify_cancel():
+        if not request.future.set_running_or_notify_cancel():
             return
         now = time.perf_counter()
         wait_ms = (now - request.submitted) * 1e3
@@ -625,7 +624,7 @@ class QueryService:
                     request.text, request.strategy, "(expired in queue)",
                     wait_ms, deadline_state="expired",
                     client=request.client)
-            future.set_exception(QueryTimeoutError(
+            self._settle(request, error=QueryTimeoutError(
                 "query expired in the service queue",
                 timeout_ms=request.timeout_ms))
             return
@@ -636,11 +635,25 @@ class QueryService:
                 _SERVICE_TIMEOUTS.inc()
                 self._count("timeouts")
             self._count("failed")
-            future.set_exception(exc)
+            self._settle(request, error=exc)
         else:
             self._count("completed")
             _RUN_MS.observe(served.run_ms)
-            future.set_result(served)
+            self._settle(request, served)
+
+    def _settle(self, request: _Request, served: ServeResult | None = None,
+                error: BaseException | None = None) -> None:
+        """Resolve a request's future, its coalescing entry dropped first:
+        a caller that awaited the result and submits the same query
+        again starts a new request instead of joining the finished one."""
+        if request.key is not None:
+            with self._cond:
+                if self._inflight.get(request.key) is request.future:
+                    del self._inflight[request.key]
+        if error is not None:
+            request.future.set_exception(error)
+        else:
+            request.future.set_result(served)
 
     def _execute(self, request: _Request, wait_ms: float) -> ServeResult:
         attempts = 0

@@ -23,11 +23,15 @@ from repro.errors import DNFError, QueryCancelledError, QueryTimeoutError
 from repro.obs.metrics import REGISTRY
 from repro.xmlkit.tree import ELEMENT, Document, Node
 
-__all__ = ["CancellationToken", "ScanCounters", "SequentialScan"]
+__all__ = ["CancellationToken", "ScanCounters", "SequentialScan", "SCAN_STRIDE"]
 
 _BUDGET_TRIPS = REGISTRY.counter(
     "repro_budget_trips_total",
     "Sequential scans aborted by the work budget (DNF emulation)")
+
+#: Nodes a sequential scan delivers between two checks of its work
+#: budget and cancellation token (the token's default stride).
+SCAN_STRIDE = 256
 
 #: ``ScanCounters`` fields that configure a run rather than count work.
 #: ``reset``/``snapshot``/``merge`` skip these (pinned by
@@ -169,36 +173,54 @@ class SequentialScan:
 
     def __iter__(self) -> Iterator[Node]:
         """Yield element nodes in document order within the range."""
-        self.counters.scans_started += 1
-        nodes = self.doc.nodes
-        counters = self.counters
-        budget = counters.budget
-        token = counters.cancellation
-        for nid in range(self.start_nid, min(self.stop_nid, len(nodes))):
-            node = nodes[nid]
-            counters.nodes_scanned += 1
-            if budget is not None and counters.nodes_scanned > budget:
-                counters.trip_budget()
-                raise DNFError("sequential scan exceeded the work budget",
-                               budget=budget)
-            if token is not None:
-                token.checkpoint()
-            if node.kind == ELEMENT:
-                yield node
+        return self._scan(elements_only=True)
 
     def all_nodes(self) -> Iterator[Node]:
         """Yield every node kind (elements and text) within the range."""
-        self.counters.scans_started += 1
-        nodes = self.doc.nodes
+        return self._scan(elements_only=False)
+
+    def _scan(self, elements_only: bool) -> Iterator[Node]:
+        """The scan loop behind both iterators.
+
+        The budget and the cancellation token are checked once per
+        :data:`SCAN_STRIDE` nodes, not per node.  A stride that would
+        cross the budget is cut at it, so a tripping scan still charges
+        exactly ``budget + 1`` nodes.  Each stride is charged up front
+        and the nodes a consumer never reached are refunded when it
+        stops early, so ``nodes_scanned`` counts the nodes scanned up to
+        the last one delivered, as a per-node charge would.
+        """
         counters = self.counters
+        counters.scans_started += 1
+        nodes = self.doc.nodes
         budget = counters.budget
         token = counters.cancellation
-        for nid in range(self.start_nid, min(self.stop_nid, len(nodes))):
-            counters.nodes_scanned += 1
-            if budget is not None and counters.nodes_scanned > budget:
+        nid = self.start_nid
+        stop = min(self.stop_nid, len(nodes))
+        while nid < stop:
+            if token is not None:
+                token.check()
+            end = min(stop, nid + SCAN_STRIDE)
+            trips = (budget is not None
+                     and counters.nodes_scanned + (end - nid) > budget)
+            if trips:
+                end = nid + max(0, budget - counters.nodes_scanned)
+            counters.nodes_scanned += end - nid
+            last = nid - 1
+            try:
+                if elements_only:
+                    for last in range(nid, end):
+                        node = nodes[last]
+                        if node.kind == ELEMENT:
+                            yield node
+                else:
+                    for last in range(nid, end):
+                        yield nodes[last]
+            finally:
+                counters.nodes_scanned -= end - 1 - last
+            if trips:
+                counters.nodes_scanned += 1
                 counters.trip_budget()
                 raise DNFError("sequential scan exceeded the work budget",
                                budget=budget)
-            if token is not None:
-                token.checkpoint()
-            yield nodes[nid]
+            nid = end

@@ -20,6 +20,7 @@ non-zero number / the bool itself.
 from __future__ import annotations
 
 import math
+import operator
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
@@ -46,7 +47,8 @@ from repro.xpath.ast import (
 )
 from repro.xmlkit.tree import ELEMENT, TEXT, Document, Node, deep_equal_sequences
 
-__all__ = ["AttrNode", "EvalContext", "XPathEvaluator", "evaluate_xpath", "boolean_value"]
+__all__ = ["VALUE_OPS", "AttrNode", "EvalContext", "XPathEvaluator",
+           "attribute_atom", "boolean_value", "evaluate_xpath", "literal_test"]
 
 Value = list | str | float | bool
 
@@ -75,10 +77,7 @@ class AttrNode:
         return self.value
 
     def typed_value(self) -> object:
-        try:
-            return float(self.value)
-        except ValueError:
-            return self.value
+        return attribute_atom(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<AttrNode {self.name}={self.value!r} of {self.owner.tag}>"
@@ -505,6 +504,60 @@ def string_value(value: Value) -> str:
     if not value:
         return ""
     return value[0].string_value()
+
+
+def attribute_atom(value: str) -> object:
+    """Typed value of an attribute: a number when the text parses as
+    one, else the text unchanged."""
+    try:
+        return float(value)
+    except ValueError:
+        return value
+
+
+#: Value-comparison operators, as Python functions on two numbers (or
+#: two strings), and each one's mirror for swapped operands.
+VALUE_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def literal_test(op: str, literal: str | float,
+                 literal_left: bool = False) -> Callable[[object], bool]:
+    """``atom -> bool`` for ``atom op literal`` (``literal op atom`` with
+    ``literal_left``): :func:`_compare_atoms` with the literal's
+    coercion done once.
+
+    Node and attribute atoms are floats or strings.  A float atom
+    against a number-valued literal compares directly; a string atom
+    against a string literal under ``=``/``!=`` compares stripped
+    texts; every other pair goes through :func:`_compare_atoms` itself.
+    """
+    compare = VALUE_OPS[_MIRRORED[op] if literal_left else op]
+    if isinstance(literal, float):
+        number: float | None = literal
+    else:
+        try:
+            number = float(literal.strip())
+        except ValueError:
+            number = None
+    text = literal.strip() if isinstance(literal, str) else None
+    equality = op in ("=", "!=")
+    unequal = op == "!="
+
+    def test(atom: object) -> bool:
+        kind = type(atom)
+        if kind is float:
+            if number is None:
+                return unequal
+            return compare(atom, number)
+        if kind is str and text is not None and equality:
+            return (atom.strip() == text) != unequal  # type: ignore[attr-defined]
+        if literal_left:
+            return _compare_atoms(op, literal, atom)
+        return _compare_atoms(op, atom, literal)
+
+    return test
 
 
 def _atomize(value: Value) -> list[object]:

@@ -25,8 +25,8 @@ def _verify_every_compiled_plan(monkeypatch):
     from repro.errors import PlanInvariantError
     from repro.pattern.artifact import prepare_artifacts
 
-    def prepare_and_verify(tree):
-        artifacts = prepare_artifacts(tree)
+    def prepare_and_verify(tree, where=None):
+        artifacts = prepare_artifacts(tree, where)
         report = analyze_artifacts(artifacts)
         if not report.clean:
             raise PlanInvariantError(report)

@@ -9,6 +9,8 @@ catalogue promises for that corruption.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
@@ -187,9 +189,7 @@ class TestDeweyRules:
         # (the bug a broken cache would have) must be caught.
         old = artifacts_for(TWIG)
         new = artifacts_for(TWIG)
-        stale = PatternArtifacts(tree=new.tree,
-                                 decomposition=new.decomposition,
-                                 dewey=old.dewey)
+        stale = dataclasses.replace(new, dewey=old.dewey)
         report = analyze_artifacts(stale)
         assert "DW002" in report.rule_ids()
 

@@ -1,37 +1,14 @@
-"""Additional property-based suites: updates, streaming, correlated FLWOR."""
+"""Additional property-based suites: updates and correlated FLWOR."""
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
 from repro.engine import Engine
-from repro.pattern import build_from_path, decompose
-from repro.physical import NoKMatcher
-from repro.physical.streaming import StreamingNoKMatcher
-from repro.xmlkit import parse, serialize
-from repro.xmlkit.sax import parse_string
+from repro.xmlkit import parse
 from repro.xmlkit.update import DocumentUpdater
-from repro.xpath import parse_xpath
 
 from tests.test_property_based import COMMON_SETTINGS, TAGS, xml_documents
-
-
-def _chain_paths():
-    return st.lists(st.sampled_from(TAGS), min_size=1, max_size=3) \
-        .map(lambda tags: "//" + "/".join(tags))
-
-
-class TestStreamingEquivalence:
-    @COMMON_SETTINGS
-    @given(doc=xml_documents(), path=_chain_paths())
-    def test_stream_count_matches_tree_matcher(self, doc, path):
-        tree = build_from_path(parse_xpath(path))
-        dec = decompose(tree)
-        [nok] = [n for n in dec.noks if n.root.name != "#root"]
-        tree_matches = len(NoKMatcher(nok, doc).matches())
-        handler = StreamingNoKMatcher(nok)
-        parse_string(serialize(doc.root), handler)
-        assert handler.count == tree_matches
 
 
 class TestUpdateInvariants:

@@ -257,6 +257,21 @@ def test_explain_analyze_estimates_match_cost_model(paper_bib):
         assert f"{n_nodes:,}" in row
 
 
+def test_explain_analyze_root_nok_estimates_no_scan_and_one_row(paper_bib):
+    engine = Engine(paper_bib)
+    text = engine.explain_analyze(PAPER_QUERY)
+    [row] = [line for line in text.splitlines()
+             if line.startswith("scan NoK#") and "[#root]" in line]
+    # nodes (the shared scan's), est.nodes, cmp, rows, est.rows
+    *_, est_nodes, _cmp, rows, est_rows = row.split()
+    assert (est_nodes, rows, est_rows) == ("0", "1", "1")
+    # The optimizer's cardinality of the name is untouched.
+    from repro.engine.cost import CostModel
+    model = CostModel(engine.doc, engine.stats, engine.index)
+    assert model.nok_estimate("#root") == (0.0, 1.0)
+    assert model._cardinality("#root") == engine.stats.n_elements
+
+
 def test_explain_analyze_naive_plan_reports_no_operator_rows(paper_bib):
     engine = Engine(paper_bib)
     text = engine.explain_analyze("1 + 1", strategy="naive")

@@ -259,6 +259,42 @@ class TestCoalescingAndResultCache:
             release.set()
             service.close()
 
+    def test_settled_request_is_not_coalesced(self):
+        # A caller woken by a result that resubmits the same query must
+        # start a new request (a cache hit), not join the finished one:
+        # the coalescing entry goes before the future resolves.
+        gate = threading.Event()
+        release = threading.Event()
+        catalog = Catalog()
+        catalog.register("main", LIBRARY)
+        service = QueryService(catalog, workers=1)
+        try:
+            original = catalog.engine_for
+
+            def slow_engine_for(snapshot):
+                gate.set()
+                release.wait(timeout=10)
+                return original(snapshot)
+
+            catalog.engine_for = slow_engine_for
+            first = service.submit("//book/title")
+            assert gate.wait(timeout=10)
+            catalog.engine_for = original
+            resubmitted = []
+            first.add_done_callback(
+                lambda done: resubmitted.append(
+                    service.submit("//book/title")))
+            before = _COALESCED.value()
+            release.set()
+            first.result(timeout=10)
+            [again] = resubmitted
+            assert again is not first
+            assert again.result(timeout=10).cached
+            assert _COALESCED.value() == before
+        finally:
+            release.set()
+            service.close()
+
     def test_result_cache_replays_on_same_snapshot(self):
         before = _RESULT_HITS.value()
         with make_service(workers=1) as service:
